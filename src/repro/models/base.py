@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.cost import ModelCost
+from repro.nn import Layer, sigmoid
 
 
 class RecommendationModel:
@@ -14,7 +15,8 @@ class RecommendationModel:
     dense and sparse feature blocks (one row per candidate) and returns a
     predicted click-through-rate / preference probability per row.  Training
     is driven by :class:`repro.models.training.Trainer` through
-    ``forward`` / ``backward`` / ``parameters`` / ``gradients``.
+    ``forward`` / ``backward`` / ``parameters`` / ``gradients``; the last two
+    and ``zero_grad`` come from the layers that ``modules`` lists.
     """
 
     name: str = "model"
@@ -29,18 +31,22 @@ class RecommendationModel:
 
     def predict(self, dense: np.ndarray, sparse: np.ndarray) -> np.ndarray:
         """Return predicted probabilities of shape ``(batch,)``."""
-        logits = self.forward(dense, sparse).reshape(-1)
-        return _sigmoid(logits)
+        return sigmoid(self.forward(dense, sparse).reshape(-1))
+
+    def modules(self) -> list[Layer]:
+        """The layers that own the model's parameters, in parameter order."""
+        raise NotImplementedError
 
     def parameters(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [p for module in self.modules() for p in module.parameters()]
 
     def gradients(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [g for module in self.modules() for g in module.gradients()]
 
     def zero_grad(self) -> None:
-        for g in self.gradients():
-            g[...] = 0.0
+        """Clear every gradient; each layer zeroes its own (embeddings: touched rows only)."""
+        for module in self.modules():
+            module.zero_grad()
 
     def cost(self) -> ModelCost:
         """Per-item compute/memory cost profile used by the hardware models."""
@@ -48,12 +54,3 @@ class RecommendationModel:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

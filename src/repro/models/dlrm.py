@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.models.base import RecommendationModel
 from repro.models.cost import ModelCost
-from repro.nn import EmbeddingBagCollection, MLP
+from repro.nn import MLP, EmbeddingBagCollection, Layer
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,9 @@ class DLRM(RecommendationModel):
         self.embeddings = EmbeddingBagCollection(config.table_sizes, config.embedding_dim, rng=rng)
         top_sizes = [config.top_input_width, *config.mlp_top, 1]
         self.top = MLP(top_sizes, rng=rng, final_activation="none")
-        self._cache: dict[str, np.ndarray] | None = None
+        # Upper-triangle (i < j) coordinates of the pairwise dot products.
+        self._pairs = np.triu_indices(config.num_tables + 1, k=1)
+        self._vectors: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -105,30 +107,31 @@ class DLRM(RecommendationModel):
         batch = dense.shape[0]
         emb_vectors = emb_out.reshape(batch, cfg.num_tables, cfg.embedding_dim)
         vectors = np.concatenate([bottom_out[:, None, :], emb_vectors], axis=1)
-        gram = np.einsum("bik,bjk->bij", vectors, vectors)
-        iu, ju = np.triu_indices(cfg.num_tables + 1, k=1)
-        interactions = gram[:, iu, ju]
-        top_input = np.concatenate([bottom_out, interactions], axis=1)
+        gram = vectors @ vectors.transpose(0, 2, 1)
+        iu, ju = self._pairs
+        top_input = np.concatenate([bottom_out, gram[:, iu, ju]], axis=1)
         logits = self.top.forward(top_input)
-        self._cache = {"vectors": vectors, "iu": iu, "ju": ju}
+        self._vectors = vectors
         return logits
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        if self._cache is None:
+        if self._vectors is None:
             raise RuntimeError("backward called before forward")
         cfg = self.config
-        vectors = self._cache["vectors"]
-        iu, ju = self._cache["iu"], self._cache["ju"]
-        batch = vectors.shape[0]
+        vectors = self._vectors
+        batch, n, _ = vectors.shape
 
         grad_top_input = self.top.backward(grad_logits)
         grad_bottom_direct = grad_top_input[:, : cfg.embedding_dim]
         grad_interactions = grad_top_input[:, cfg.embedding_dim :]
 
-        grad_gram = np.zeros((batch, cfg.num_tables + 1, cfg.num_tables + 1))
-        grad_gram[:, iu, ju] = grad_interactions
-        # gram = V V^T, so dV = (G + G^T) V.
-        grad_vectors = np.einsum("bij,bjk->bik", grad_gram + grad_gram.transpose(0, 2, 1), vectors)
+        # gram = V V^T, so dV = (G + G^T) V.  G is strictly upper-triangular,
+        # so its symmetric sum is filled directly.
+        iu, ju = self._pairs
+        grad_sym = np.zeros((batch, n, n))
+        grad_sym[:, iu, ju] = grad_interactions
+        grad_sym[:, ju, iu] = grad_interactions
+        grad_vectors = grad_sym @ vectors
         grad_bottom = grad_vectors[:, 0, :] + grad_bottom_direct
         grad_emb = grad_vectors[:, 1:, :].reshape(batch, cfg.num_tables * cfg.embedding_dim)
         self.bottom.backward(grad_bottom)
@@ -137,11 +140,8 @@ class DLRM(RecommendationModel):
     # ------------------------------------------------------------------ #
     # Parameters & cost
     # ------------------------------------------------------------------ #
-    def parameters(self) -> list[np.ndarray]:
-        return self.bottom.parameters() + self.embeddings.parameters() + self.top.parameters()
-
-    def gradients(self) -> list[np.ndarray]:
-        return self.bottom.gradients() + self.embeddings.gradients() + self.top.gradients()
+    def modules(self) -> list[Layer]:
+        return [self.bottom, self.embeddings, self.top]
 
     def cost(self) -> ModelCost:
         cfg = self.config

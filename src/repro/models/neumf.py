@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.models.base import RecommendationModel
 from repro.models.cost import ModelCost
-from repro.nn import MLP, EmbeddingTable, Linear
+from repro.nn import MLP, EmbeddingTable, Layer, Linear
 
 
 @dataclass(frozen=True)
@@ -109,31 +109,8 @@ class NeuMF(RecommendationModel):
     # ------------------------------------------------------------------ #
     # Parameters & cost
     # ------------------------------------------------------------------ #
-    def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for module in (
-            self.user_gmf,
-            self.item_gmf,
-            self.user_mlp,
-            self.item_mlp,
-            self.mlp,
-            self.head,
-        ):
-            params.extend(module.parameters())
-        return params
-
-    def gradients(self) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        for module in (
-            self.user_gmf,
-            self.item_gmf,
-            self.user_mlp,
-            self.item_mlp,
-            self.mlp,
-            self.head,
-        ):
-            grads.extend(module.gradients())
-        return grads
+    def modules(self) -> list[Layer]:
+        return [self.user_gmf, self.item_gmf, self.user_mlp, self.item_mlp, self.mlp, self.head]
 
     def cost(self) -> ModelCost:
         cfg = self.config

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.data.datasets import CTRBatch, Dataset
 from repro.models.base import RecommendationModel
-from repro.nn import Adam, BCEWithLogitsLoss, SGD
+from repro.nn import SGD, Adam, BCEWithLogitsLoss, sigmoid
 
 
 @dataclass
@@ -43,6 +43,8 @@ class Trainer:
         self.batch_size = batch_size
         self.loss_fn = BCEWithLogitsLoss()
         self._rng = np.random.default_rng(seed)
+        #: Logits of the last :meth:`evaluate_loss` call, reused by :meth:`fit`.
+        self._eval_logits: np.ndarray | None = None
         if optimizer == "adam":
             self.optimizer = Adam(model.parameters(), model.gradients(), lr=lr)
         elif optimizer == "sgd":
@@ -58,7 +60,8 @@ class Trainer:
         for _ in range(epochs):
             train_loss = self._run_epoch(dataset.train)
             test_loss = self.evaluate_loss(dataset.test)
-            test_error = evaluate_error(self.model, dataset.test)
+            # One test-set forward per epoch: the error reuses evaluate_loss's logits.
+            test_error = _error_pct(self._eval_logits, dataset.test.labels)
             history.train_loss.append(train_loss)
             history.test_loss.append(test_loss)
             history.test_error.append(test_error)
@@ -84,8 +87,8 @@ class Trainer:
 
     def evaluate_loss(self, batch: CTRBatch) -> float:
         """Mean BCE loss over ``batch`` without updating the model."""
-        logits = self.model.forward(batch.dense, batch.sparse)
-        return self.loss_fn.forward(logits, batch.labels)
+        self._eval_logits = self.model.forward(batch.dense, batch.sparse)
+        return self.loss_fn.forward(self._eval_logits, batch.labels)
 
 
 def evaluate_error(model: RecommendationModel, batch: CTRBatch, threshold: float = 0.5) -> float:
@@ -96,6 +99,10 @@ def evaluate_error(model: RecommendationModel, batch: CTRBatch, threshold: float
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    probs = model.predict(batch.dense, batch.sparse)
-    predictions = (probs >= threshold).astype(np.float64)
-    return float(np.mean(predictions != batch.labels) * 100.0)
+    return _error_pct(model.forward(batch.dense, batch.sparse), batch.labels, threshold)
+
+
+def _error_pct(logits: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
+    """Percent of ``labels`` that the thresholded sigmoid of ``logits`` mispredicts."""
+    predictions = (sigmoid(logits.reshape(-1)) >= threshold).astype(np.float64)
+    return float(np.mean(predictions != labels) * 100.0)

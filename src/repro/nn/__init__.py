@@ -12,7 +12,7 @@ shapes to derive FLOP and byte counts.
 """
 
 from repro.nn.init import he_uniform, normal_init, xavier_uniform
-from repro.nn.layers import MLP, Identity, Layer, Linear, ReLU, Sigmoid
+from repro.nn.layers import MLP, Identity, Layer, Linear, ReLU, Sigmoid, sigmoid
 from repro.nn.embedding import EmbeddingBagCollection, EmbeddingTable
 from repro.nn.loss import BCEWithLogitsLoss, MSELoss
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -22,6 +22,7 @@ __all__ = [
     "Linear",
     "ReLU",
     "Sigmoid",
+    "sigmoid",
     "Identity",
     "MLP",
     "EmbeddingTable",

@@ -39,6 +39,13 @@ class EmbeddingTable(Layer):
         self.grad_weight = np.zeros_like(self.weight)
         self._indices: np.ndarray | None = None
 
+    @classmethod
+    def view(cls, weight: np.ndarray, grad_weight: np.ndarray) -> EmbeddingTable:
+        """A table over existing ``weight`` / ``grad_weight`` arrays, without copying them."""
+        table = cls.__new__(cls)
+        table.weight, table.grad_weight, table._indices = weight, grad_weight, None
+        return table
+
     @property
     def num_rows(self) -> int:
         return self.weight.shape[0]
@@ -97,6 +104,16 @@ class EmbeddingBagCollection(Layer):
     ``forward`` takes an integer array of shape ``(batch, num_tables)`` holding
     one index per table and returns the concatenation of the per-table
     lookups, shape ``(batch, num_tables * dim)``.
+
+    The tables share one flat ``(sum(rows), dim)`` weight array and one
+    gradient array; each table's ``weight`` and ``grad_weight`` are row views
+    into them.  A lookup is one gather at ``indices + offsets`` and a backward
+    pass one scatter-add, so the work scales with the lookups made, not with
+    the number of tables.  ``zero_grad`` clears only the rows scattered into
+    since the last zero -- gradients written through a table view directly
+    are the caller's to clear.  ``parameters()`` lists the per-table views,
+    not the flat array: dense Adam over 26 cache-sized arrays is faster than
+    over one that spills the cache.
     """
 
     def __init__(
@@ -108,9 +125,22 @@ class EmbeddingBagCollection(Layer):
     ) -> None:
         if not table_sizes:
             raise ValueError("at least one embedding table is required")
+        if dim <= 0 or min(table_sizes) <= 0:
+            raise ValueError(f"table dimensions must be positive, got {min(table_sizes)}x{dim}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
-        self.tables = [EmbeddingTable(rows, dim, rng=rng, std=std) for rows in table_sizes]
+        self.table_sizes = np.asarray(table_sizes, dtype=np.int64)
+        self.offsets = np.cumsum(self.table_sizes) - self.table_sizes
+        self.weight = np.empty((int(self.table_sizes.sum()), dim))
+        self.grad_weight = np.zeros(self.weight.shape)
+        self.tables: list[EmbeddingTable] = []
+        # One draw per table, in table order: the same values as separate tables.
+        for lo, rows in zip(self.offsets, self.table_sizes):
+            block = slice(lo, lo + rows)
+            self.weight[block] = normal_init(rng, (rows, dim), std=std)
+            self.tables.append(EmbeddingTable.view(self.weight[block], self.grad_weight[block]))
+        self._rows: np.ndarray | None = None
+        self._touched: list[np.ndarray] = []
 
     @property
     def num_tables(self) -> int:
@@ -122,35 +152,53 @@ class EmbeddingBagCollection(Layer):
             raise ValueError(
                 f"expected indices of shape (batch, {self.num_tables}), got {indices.shape}"
             )
-        outputs = [table.forward(indices[:, t]) for t, table in enumerate(self.tables)]
-        return np.concatenate(outputs, axis=1)
+        if not np.issubdtype(indices.dtype, np.integer):
+            raise TypeError(f"embedding indices must be integers, got {indices.dtype}")
+        if indices.size:
+            low, high = indices.min(axis=0), indices.max(axis=0)
+            bad = (low < 0) | (high >= self.table_sizes)
+            if bad.any():
+                t = int(bad.argmax())
+                raise IndexError(
+                    f"embedding index out of range [0, {self.table_sizes[t]}) in table {t}: "
+                    f"min={low[t]}, max={high[t]}"
+                )
+        # int64 first: uint64 + int64 offsets would promote to float64.
+        self._rows = indices.astype(np.int64, copy=False) + self.offsets
+        lookups = np.take(self.weight, self._rows, axis=0)
+        return lookups.reshape(len(indices), self.num_tables * self.dim)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if grad_out.shape[1] != self.num_tables * self.dim:
             raise ValueError(
                 f"expected gradient width {self.num_tables * self.dim}, got {grad_out.shape[1]}"
             )
-        for t, table in enumerate(self.tables):
-            table.backward(grad_out[:, t * self.dim : (t + 1) * self.dim])
+        if self._rows is None:
+            raise RuntimeError("backward called before forward")
+        rows = self._rows.reshape(-1)
+        # Scatter element by element into the raveled gradient: numpy's 1-D
+        # add.at is ~3x faster than the row-wise form and adds in the same order.
+        elements = (rows[:, None] * self.dim + np.arange(self.dim)).reshape(-1)
+        np.add.at(self.grad_weight.reshape(-1), elements, grad_out.reshape(-1))
+        self._touched.append(rows)
         return np.zeros_like(grad_out)
 
+    def zero_grad(self) -> None:
+        if self._touched:
+            self.grad_weight[np.concatenate(self._touched)] = 0.0
+            self._touched.clear()
+
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for table in self.tables:
-            params.extend(table.parameters())
-        return params
+        return [table.weight for table in self.tables]
 
     def gradients(self) -> list[np.ndarray]:
-        grads: list[np.ndarray] = []
-        for table in self.tables:
-            grads.extend(table.gradients())
-        return grads
+        return [table.grad_weight for table in self.tables]
 
     def num_parameters(self) -> int:
-        return sum(table.num_parameters() for table in self.tables)
+        return self.weight.size
 
     def storage_bytes(self, bytes_per_element: int = 4) -> int:
-        return sum(table.storage_bytes(bytes_per_element) for table in self.tables)
+        return self.weight.size * bytes_per_element
 
     def lookups_per_sample(self) -> int:
         """Number of embedding-vector fetches one inference sample performs."""

@@ -17,6 +17,17 @@ import numpy as np
 from repro.nn.init import he_uniform, xavier_uniform
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in float64, stable for large magnitudes of either sign."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class Layer:
     """Base class for all layers."""
 
@@ -134,13 +145,8 @@ class Sigmoid(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        self._out = sigmoid(x)
+        return self._out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.layers import sigmoid
+
 
 class BCEWithLogitsLoss:
     """Binary cross-entropy on raw logits (numerically stable).
@@ -35,7 +37,7 @@ class BCEWithLogitsLoss:
     def backward(self) -> np.ndarray:
         if self._logits is None or self._targets is None:
             raise RuntimeError("backward called before forward")
-        probs = _sigmoid(self._logits)
+        probs = sigmoid(self._logits)
         n = max(self._logits.size, 1)
         return ((probs - self._targets) / n).reshape(-1, 1)
 
@@ -72,12 +74,3 @@ class MSELoss:
 
     def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         return self.forward(predictions, targets)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out

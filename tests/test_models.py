@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import CriteoSynthetic, CriteoConfig, MovieLensConfig, MovieLensSynthetic
 from repro.models import (
@@ -17,6 +19,7 @@ from repro.models import (
     movielens_model_specs,
 )
 from repro.models.zoo import MODEL_ZOO, RM_LARGE, RM_MED, RM_SMALL
+from repro.nn import MLP, EmbeddingTable
 
 
 def tiny_dlrm(seed=0):
@@ -32,7 +35,88 @@ def tiny_dlrm(seed=0):
     )
 
 
+class EinsumDLRM(DLRM):
+    """Oracle: the per-table, ``einsum`` DLRM step the table-batched path replaced.
+
+    It shares the bottom and top MLPs' code but owns separate embedding
+    tables, drawn from its own replay of the model seed.
+    """
+
+    def __init__(self, config):
+        super().__init__(config)
+        rng = np.random.default_rng(config.seed)
+        MLP(config.mlp_bottom, rng=rng)  # replay the bottom MLP's draws
+        dim = config.embedding_dim
+        self.tables = [EmbeddingTable(rows, dim, rng=rng) for rows in config.table_sizes]
+
+    def modules(self):
+        return [self.bottom, *self.tables, self.top]
+
+    def forward(self, dense, sparse):
+        cfg = self.config
+        bottom_out = self.bottom.forward(dense)
+        lookups = [table.forward(sparse[:, k]) for k, table in enumerate(self.tables)]
+        emb_out = np.concatenate(lookups, axis=1)
+        emb_vectors = emb_out.reshape(len(dense), cfg.num_tables, cfg.embedding_dim)
+        vectors = np.concatenate([bottom_out[:, None, :], emb_vectors], axis=1)
+        gram = np.einsum("bik,bjk->bij", vectors, vectors)
+        iu, ju = np.triu_indices(cfg.num_tables + 1, k=1)
+        self._vectors = vectors
+        return self.top.forward(np.concatenate([bottom_out, gram[:, iu, ju]], axis=1))
+
+    def backward(self, grad_logits):
+        vectors = self._vectors
+        batch, n, d = vectors.shape
+        grad_top_input = self.top.backward(grad_logits)
+        grad_gram = np.zeros((batch, n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        grad_gram[:, iu, ju] = grad_top_input[:, d:]
+        grad_vectors = np.einsum("bij,bjk->bik", grad_gram + grad_gram.transpose(0, 2, 1), vectors)
+        self.bottom.backward(grad_vectors[:, 0, :] + grad_top_input[:, :d])
+        for k, table in enumerate(self.tables):
+            table.backward(grad_vectors[:, 1 + k, :])
+
+
+def assert_matches(new, old):
+    """Agree to rtol=1e-12; an entry that cancels to near zero keeps the array's ULP scale."""
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-14 * np.abs(old).max(initial=0.0))
+
+
 class TestDLRM:
+    @given(
+        table_sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+        dim=st.integers(min_value=1, max_value=6),
+        batches=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_table_batched_step_matches_einsum_oracle(self, table_sizes, dim, batches, seed):
+        config = DLRMConfig(
+            name="eq",
+            embedding_dim=dim,
+            mlp_bottom=(3, 5, dim),
+            mlp_top=(7,),
+            table_sizes=tuple(table_sizes),
+            seed=seed % 1000,
+        )
+        model, oracle = DLRM(config), EinsumDLRM(config)
+        rng = np.random.default_rng(seed)
+        model.zero_grad()
+        oracle.zero_grad()
+        # Two backward calls without a zero in between; tiny tables force repeated rows.
+        for batch in batches:
+            dense = rng.standard_normal((batch, 3))
+            sparse = rng.integers(0, table_sizes, size=(batch, len(table_sizes)))
+            logits = model.forward(dense, sparse)
+            assert_matches(logits, oracle.forward(dense, sparse))
+            grad_logits = rng.standard_normal((batch, 1))
+            model.backward(grad_logits)
+            oracle.backward(grad_logits)
+            for new, old in zip(model.parameters(), oracle.parameters(), strict=True):
+                np.testing.assert_array_equal(new, old)
+            for new, old in zip(model.gradients(), oracle.gradients(), strict=True):
+                assert_matches(new, old)
+
     def test_forward_shape_and_range(self):
         model = tiny_dlrm()
         rng = np.random.default_rng(0)
@@ -202,6 +286,33 @@ class TestTrainer:
         trainer = Trainer(model, lr=0.01, batch_size=128)
         history = trainer.fit(dataset, epochs=2)
         assert len(history.train_loss) == 2
+
+    def test_fit_history_equals_separate_evaluation_with_one_test_forward(self):
+        dataset = CriteoSynthetic(CriteoConfig(table_size=200)).build_dataset(
+            num_train=600, num_test=300
+        )
+
+        def trainer():
+            model = build_model(RM_SMALL, dataset.table_sizes, num_dense=13, seed=4)
+            return Trainer(model, lr=0.01, batch_size=128, seed=4)
+
+        fitted = trainer()
+        test_forwards = []
+        forward = fitted.model.forward
+
+        def counting_forward(dense, sparse):
+            test_forwards.append(dense is dataset.test.dense)
+            return forward(dense, sparse)
+
+        fitted.model.forward = counting_forward
+        history = fitted.fit(dataset, epochs=3)
+        assert sum(test_forwards) == 3
+
+        separate = trainer()
+        for epoch in range(3):
+            assert separate._run_epoch(dataset.train) == history.train_loss[epoch]
+            assert separate.evaluate_loss(dataset.test) == history.test_loss[epoch]
+            assert evaluate_error(separate.model, dataset.test) == history.test_error[epoch]
 
     def test_evaluate_error_threshold_validation(self):
         dataset = CriteoSynthetic(CriteoConfig(table_size=100)).build_dataset(

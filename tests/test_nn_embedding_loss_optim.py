@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
@@ -65,6 +65,81 @@ class TestEmbeddingBagCollection:
         coll = EmbeddingBagCollection([5, 7], 3)
         with pytest.raises(ValueError):
             coll.forward(np.array([[1, 2, 3]]))
+
+    def test_out_of_range_names_the_table(self):
+        coll = EmbeddingBagCollection([5, 7, 4], 2)
+        with pytest.raises(IndexError, match="table 2"):
+            coll.forward(np.array([[0, 6, 4]]))
+        with pytest.raises(IndexError, match="table 0"):
+            coll.forward(np.array([[-1, 0, 0]]))
+
+    def test_float_indices_rejected(self):
+        coll = EmbeddingBagCollection([5, 7], 2)
+        with pytest.raises(TypeError):
+            coll.forward(np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_any_integer_dtype_indexes(self, dtype):
+        coll = EmbeddingBagCollection([5, 7], 2, rng=np.random.default_rng(0))
+        idx = np.array([[4, 6], [0, 1]])
+        np.testing.assert_array_equal(coll.forward(idx.astype(dtype)), coll.forward(idx))
+
+    def test_nonpositive_table_rejected(self):
+        with pytest.raises(ValueError):
+            EmbeddingBagCollection([5, 0], 2)
+
+    def test_empty_batch(self):
+        coll = EmbeddingBagCollection([5, 7], 3)
+        assert coll.forward(np.zeros((0, 2), dtype=int)).shape == (0, 6)
+
+    def test_flat_buffer_matches_separate_tables(self):
+        coll = EmbeddingBagCollection([5, 7, 3], 4, rng=np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for rows, table in zip([5, 7, 3], coll.tables):
+            np.testing.assert_array_equal(table.weight, EmbeddingTable(rows, 4, rng=rng).weight)
+
+    def test_adam_step_on_table_views_reaches_forward(self):
+        coll = EmbeddingBagCollection([5, 7], 3, rng=np.random.default_rng(0))
+        for table in coll.tables:
+            assert np.shares_memory(table.weight, coll.weight)
+            assert np.shares_memory(table.grad_weight, coll.grad_weight)
+        idx = np.array([[1, 2], [1, 6]])
+        before = coll.forward(idx)
+        coll.backward(np.ones_like(before))
+        Adam(coll.parameters(), coll.gradients(), lr=0.1).step()
+        after = coll.forward(idx)
+        assert np.all(after < before)
+        np.testing.assert_array_equal(after[:, :3], coll.tables[0].weight[idx[:, 0]])
+        np.testing.assert_array_equal(after[:, 3:], coll.tables[1].weight[idx[:, 1]])
+
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(1, 5), st.integers(0, 2**32 - 1))),
+    )
+    @example(sizes=[6, 6], ops=[(False, 3, 1), (False, 3, 2)])
+    @settings(max_examples=60, deadline=None)
+    def test_zero_grad_clears_every_touched_row(self, sizes, ops):
+        coll = EmbeddingBagCollection(sizes, 2)
+        for zero, batch, seed in ops:
+            if zero:
+                coll.zero_grad()
+                continue
+            rng = np.random.default_rng(seed)
+            idx = rng.integers(0, sizes, size=(batch, len(sizes)))
+            coll.forward(idx)
+            coll.backward(rng.standard_normal((batch, 2 * len(sizes))))
+        coll.zero_grad()
+        assert not coll.grad_weight.any()
+        assert not any(g.any() for g in coll.gradients())
+
+    def test_backward_accumulates_until_zero(self):
+        coll = EmbeddingBagCollection([4, 4], 1)
+        idx = np.array([[1, 3], [1, 0]])
+        coll.forward(idx)
+        coll.backward(np.ones((2, 2)))
+        coll.backward(np.ones((2, 2)))
+        np.testing.assert_array_equal(coll.tables[0].grad_weight[:, 0], [0, 4, 0, 0])
+        np.testing.assert_array_equal(coll.tables[1].grad_weight[:, 0], [2, 0, 0, 2])
 
     def test_lookups_per_sample(self):
         coll = EmbeddingBagCollection([5] * 26, 4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import MLP, Identity, Linear, ReLU, Sigmoid
+from repro.nn import MLP, BCEWithLogitsLoss, Identity, Linear, ReLU, Sigmoid, sigmoid
 
 
 def numerical_gradient(f, x, eps=1e-6):
@@ -97,6 +97,22 @@ class TestActivations:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         assert not np.any(np.isnan(out))
         np.testing.assert_allclose(out[0, 1], 0.5)
+
+    def test_sigmoid_of_integers_is_float(self):
+        # Regression: an integer input once produced an integer (all-zero) output.
+        out = Sigmoid().forward(np.array([[-3, 0, 2]]))
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-np.array([[-3.0, 0.0, 2.0]]))))
+
+    @given(st.lists(st.floats(min_value=-800, max_value=800), min_size=1, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_one_sigmoid_behind_layer_and_loss(self, values):
+        x = np.array(values)
+        expected = sigmoid(x)
+        np.testing.assert_array_equal(Sigmoid().forward(x), expected)
+        loss = BCEWithLogitsLoss()
+        loss.forward(x, np.zeros_like(x))
+        np.testing.assert_array_equal(loss.backward().reshape(-1), expected / x.size)
 
     def test_sigmoid_gradient(self):
         sig = Sigmoid()

@@ -710,25 +710,6 @@ def cmd_run(args: argparse.Namespace, registry: ExperimentRegistry) -> int:
 # --------------------------------------------------------------------------- #
 # recpipe sweep
 # --------------------------------------------------------------------------- #
-def _sweep_workload(dataset: str, pool: int | None):
-    """(evaluator, model specs, embedding tables, pool) for the sweep workload."""
-    # Imported lazily: the evaluators build synthetic datasets on first use.
-    from repro.experiments.common import (
-        criteo_quality_evaluator,
-        movielens_quality_evaluator,
-    )
-    from repro.models.zoo import criteo_model_specs, movielens_model_specs
-
-    if dataset == "criteo":
-        pool = pool if pool is not None else 4096
-        return criteo_quality_evaluator(pool), criteo_model_specs(), 26, pool
-    # MovieLens catalogues are smaller than Criteo's 4096 default pool.
-    pool = pool if pool is not None else 1024
-    preset = dataset.split("-", 1)[1]
-    # NeuMF funnels use two embedding tables (user, item).
-    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2, pool
-
-
 def _parse_platforms(text: str) -> tuple[str, ...]:
     """``--platform`` as a swept axis: a comma-separated list or ``all``."""
     from repro.core.sweep import PLATFORMS
@@ -743,8 +724,11 @@ def _parse_platforms(text: str) -> tuple[str, ...]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.sweep import SweepConfig, run_sweep
+    from repro.experiments.common import workload
 
-    evaluator, specs, num_tables, pool = _sweep_workload(args.dataset, args.pool)
+    # MovieLens catalogues are smaller than Criteo's 4096-candidate default pool.
+    pool = args.pool if args.pool is not None else (4096 if args.dataset == "criteo" else 1024)
+    evaluator, specs, num_tables = workload(args.dataset, pool)
     config = SweepConfig(
         platforms=_parse_platforms(args.platform),
         qps=_parse_floats(args.qps, "--qps"),
@@ -838,7 +822,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def _route_traces(args: argparse.Namespace) -> list:
     """Build the requested load traces from the CLI's shared shape flags."""
-    from repro.serving.trace import TRACES, diurnal_trace, ramp_trace, spike_trace
+    from repro.serving.trace import TRACES, make_trace
 
     names = _parse_csv(args.trace)
     if not names:
@@ -851,12 +835,9 @@ def _route_traces(args: argparse.Namespace) -> list:
     shape = dict(
         num_steps=args.steps, step_seconds=args.step_seconds, noise=args.noise, seed=args.seed
     )
-    builders = {
-        "diurnal": lambda: diurnal_trace(base_qps=args.base_qps, peak_qps=args.peak_qps, **shape),
-        "spike": lambda: spike_trace(base_qps=args.base_qps, spike_qps=args.peak_qps, **shape),
-        "ramp": lambda: ramp_trace(start_qps=args.base_qps, end_qps=args.peak_qps, **shape),
-    }
-    return [builders[name]() for name in names]
+    return [
+        make_trace(name, base_qps=args.base_qps, peak_qps=args.peak_qps, **shape) for name in names
+    ]
 
 
 def _route_estimator(args: argparse.Namespace):
@@ -867,14 +848,12 @@ def _route_estimator(args: argparse.Namespace):
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import enumerate_pipelines
-    from repro.core.scheduler import RecPipeScheduler
+    from repro.experiments.common import compile_table
     from repro.experiments.frontend_online import bound_row, frontend_row
     from repro.experiments.router_online import compare_policies, result_row, violation_note
     from repro.serving.frontend import StreamingFrontend
-    from repro.serving.router import MultiPathRouter, PathTable, route_oracle, route_static
+    from repro.serving.router import MultiPathRouter, route_oracle, route_static
     from repro.serving.service_times import SERVICE_MODELS
-    from repro.serving.simulator import SimulationConfig
 
     # Validate the cheap-to-check knobs before the expensive table compile
     # so a typo fails in milliseconds, not minutes.
@@ -894,36 +873,25 @@ def cmd_route(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-batch must be >= 1, got {args.max_batch}")
     max_batch = StreamingFrontend.max_batch if args.max_batch is None else args.max_batch
     service = SERVICE_MODELS[args.service_model]
+    traces = _route_traces(args)
 
     # A smaller default pool than sweep's: routing tables pair it with the
     # default 512-item first stage, like the `router` registry experiment.
     pool = args.pool if args.pool is not None else (512 if args.dataset == "criteo" else 1024)
-    evaluator, specs, num_tables, pool = _sweep_workload(args.dataset, pool)
-    pipelines = enumerate_pipelines(
-        specs,
+    start = time.perf_counter()
+    table = compile_table(
+        args.dataset,
+        pool=pool,
+        platforms=_parse_platforms(args.platform),
+        qps_grid=_parse_floats(args.qps_grid, "--qps-grid"),
+        sla_ms=args.sla_ms,
+        quality_target=args.quality_target,
         first_stage_items=_parse_ints(args.first_stage_items, "--first-stage-items"),
         later_stage_items=_parse_ints(args.later_stage_items, "--later-stage-items"),
         max_stages=args.max_stages,
         serve_k=args.serve_k,
-    )
-    if not pipelines:
-        raise ValueError(
-            "the item ladders admit no pipeline; widen --first-stage-items / "
-            "--later-stage-items or lower --serve-k"
-        )
-    scheduler = RecPipeScheduler(
-        evaluator,
-        simulation=SimulationConfig.with_budget(args.num_queries, seed=args.seed, service=service),
-        num_tables=num_tables,
-    )
-    start = time.perf_counter()
-    table = PathTable.compile(
-        scheduler,
-        pipelines,
-        _parse_platforms(args.platform),
-        _parse_floats(args.qps_grid, "--qps-grid"),
-        sla_ms=args.sla_ms,
-        quality_target=args.quality_target,
+        num_queries=args.num_queries,
+        service=service,
         seed=args.seed,
     )
     router = MultiPathRouter(
@@ -935,7 +903,6 @@ def cmd_route(args: argparse.Namespace) -> int:
         switch_cost_seconds=args.switch_cost_ms / 1e3,
     )
 
-    traces = _route_traces(args)
     result = ExperimentResult(name=f"route_{args.dataset}")
     steps_result = ExperimentResult(name=f"route_{args.dataset}_steps")
     with _maybe_capture(args.events) as event_log:

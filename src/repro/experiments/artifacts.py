@@ -140,16 +140,23 @@ def merge_json_section(path: Path, section: str, payload: Mapping) -> Path:
 
     The benchmark suite appends sections to the ``BENCH_*.json`` trajectory
     files from independent tests; merging instead of overwriting keeps the
-    writers from clobbering each other.  A missing or unparsable file starts
-    empty, and a legacy flat payload carrying a top-level ``benchmark`` name
+    writers from clobbering each other.  A missing file starts empty; an
+    existing file that does not parse raises ``ValueError`` naming it rather
+    than being overwritten, since rewriting it would drop every other
+    section.  A legacy flat payload carrying a top-level ``benchmark`` name
     key is nested under that name before the new section lands, so old
     trajectory files migrate in place on the first merge.
     """
     path = Path(path)
     try:
         existing = json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError):
+    except FileNotFoundError:
         existing = {}
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path} is not valid JSON ({exc}); fix or remove it before merging "
+            f"section {section!r}"
+        ) from exc
     if "benchmark" in existing:  # legacy flat payload: nest it under its name
         existing = {existing.pop("benchmark"): existing}
     existing[section] = _sanitize(dict(payload))

@@ -11,13 +11,13 @@ the per-step cache state:
   resets the on-chip cache, which then re-warms linearly over a few steps.
 
 Both compile one :class:`~repro.serving.router.PathTable` whose default
-service model is the warm baseline (``BASE``), replay the trace under the
-static / oracle / online policies, and re-evaluate every policy's schedule
-under the scenario's per-step service configs via
-``PathTable.evaluate_route(service_steps=...)``.  The router stays purely
-load-driven — it never observes the cache state — so any win it shows is
-earned by reacting to load, not by peeking at the scenario script.  The
-oracle is likewise clairvoyant about *load only*: its per-step choices come
+service model is the warm baseline (``BASE``) and replay the trace through
+:func:`~repro.experiments.router_online.compare_policies`, which evaluates
+every policy's schedule under the scenario's per-step service configs
+(``service_steps``): no policy gets a cleaner cache than another.  The
+router stays purely load-driven — it never observes the cache state — so
+any win it shows is earned by reacting to load, not by peeking at the
+scenario script.  The oracle is likewise clairvoyant about *load only*: its per-step choices come
 from the warm-baseline table, so a cold cache can cost it too.
 
 Every scenario's notes report the *measured* hit rate of each sampled
@@ -28,85 +28,17 @@ that replaces trusting the analytic rate.
 
 from __future__ import annotations
 
-from repro.experiments.common import criteo_quality_evaluator, make_scheduler
-from repro.experiments.router_online import (
-    NUM_QUERIES,
-    PLATFORMS,
-    POOL,
-    QPS_GRID,
-    SLA_MS,
-    SWITCH_COST_SECONDS,
-    SWITCH_PENALTY_SECONDS,
-    build_pipelines,
-)
-from repro.serving.router import MultiPathRouter, PathTable, RoutingResult, route_oracle
+from repro.experiments import router_online
+from repro.serving.router import PathTable
 from repro.serving.service_times import CachedServiceConfig
-from repro.serving.trace import LoadTrace
 
 #: The warm steady-state cache every table is compiled under.
 BASE = CachedServiceConfig()
 
 
 def build_table(seed: int = 0) -> PathTable:
-    """Compile the scenario routing table under the warm cached model."""
-    scheduler = make_scheduler(
-        criteo_quality_evaluator(POOL), num_queries=NUM_QUERIES, seed=seed, service=BASE
-    )
-    return PathTable.compile(
-        scheduler,
-        build_pipelines(),
-        PLATFORMS,
-        QPS_GRID,
-        sla_ms=SLA_MS,
-        seed=seed,
-    )
-
-
-def evaluate_policies(
-    table: PathTable,
-    trace: LoadTrace,
-    service_steps: list[CachedServiceConfig],
-) -> dict[str, RoutingResult]:
-    """Static / oracle / online results, all paying the scenario's cache state.
-
-    The three policies *decide* exactly as they would without the scenario
-    (static provisions for the trace median, the oracle and the online
-    router react to load), then every schedule is *evaluated* under the
-    same per-step service configs — no policy gets a cleaner cache than
-    another.
-    """
-    num_steps = trace.num_steps
-    static_index = table.best_path(trace.median_qps())
-    static = table.evaluate_route(
-        trace,
-        [static_index] * num_steps,
-        [False] * num_steps,
-        policy="static",
-        service_steps=service_steps,
-    )
-    oracle_plan = route_oracle(table, trace)
-    oracle = table.evaluate_route(
-        trace,
-        oracle_plan.path_steps,
-        oracle_plan.switch_steps,
-        policy="oracle",
-        service_steps=service_steps,
-    )
-    router = MultiPathRouter(
-        table,
-        switch_penalty_seconds=SWITCH_PENALTY_SECONDS,
-        switch_cost_seconds=SWITCH_COST_SECONDS,
-    )
-    path_steps, switch_steps = router.decide(trace)
-    online = table.evaluate_route(
-        trace,
-        path_steps,
-        switch_steps,
-        policy="online",
-        switch_penalty_seconds=SWITCH_PENALTY_SECONDS,
-        service_steps=service_steps,
-    )
-    return {"static": static, "oracle": oracle, "online": online}
+    """Compile the router experiment's table under the warm cached model."""
+    return router_online.build_table(seed, service=BASE)
 
 
 def hit_rate_notes(table: PathTable) -> list[str]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
-from repro.core.pipeline import PipelineConfig, Stage
+from repro.core.pipeline import PipelineConfig, Stage, enumerate_pipelines
 from repro.core.scheduler import RecPipeScheduler
 from repro.data.criteo import CriteoSynthetic
 from repro.data.movielens import MovieLensConfig, MovieLensSynthetic
@@ -16,8 +17,11 @@ from repro.models.zoo import (
     RM_LARGE,
     RM_MED,
     RM_SMALL,
+    criteo_model_specs,
+    movielens_model_specs,
 )
 from repro.quality.evaluator import QualityEvaluator
+from repro.serving.router import PathTable
 from repro.serving.service_times import CachedServiceConfig
 from repro.serving.simulator import SimulationConfig
 
@@ -146,3 +150,67 @@ def make_scheduler(
     """
     simulation = SimulationConfig.with_budget(num_queries, seed=seed, service=service)
     return RecPipeScheduler(evaluator, simulation=simulation, num_tables=num_tables)
+
+
+def workload(dataset: str, pool: int):
+    """``(evaluator, model_specs, num_tables)`` for ``criteo`` or ``movielens-<preset>``.
+
+    ``pool`` is the candidates per ranking query; each caller (``recpipe
+    sweep``/``route``, the scenario runner) picks its own default.
+    """
+    if dataset == "criteo":
+        return criteo_quality_evaluator(pool), criteo_model_specs(), 26
+    preset = dataset.split("-", 1)[1]
+    # NeuMF funnels use two embedding tables (user, item).
+    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2
+
+
+def compile_table(
+    dataset: str,
+    *,
+    pool: int,
+    platforms: Sequence[str],
+    qps_grid: Sequence[float],
+    sla_ms: float,
+    quality_target: float | None = None,
+    first_stage_items: Sequence[int],
+    later_stage_items: Sequence[int],
+    max_stages: int,
+    serve_k: int,
+    num_queries: int,
+    service: CachedServiceConfig | None = None,
+    seed: int,
+) -> PathTable:
+    """Compile the routing table of one dataset-driven serving workload.
+
+    Enumerates the candidate funnels from the item ladders, then sweeps every
+    (platform, pipeline) path over ``qps_grid`` with a scheduler seeded like
+    the table (the table's dwell cells draw from their own ``seed``-derived
+    streams, so the scheduler seed never changes a routed result).
+
+    Raises
+    ------
+    ValueError
+        When the item ladders admit no pipeline.
+    """
+    evaluator, specs, num_tables = workload(dataset, pool)
+    pipelines = enumerate_pipelines(
+        specs, first_stage_items, later_stage_items, max_stages=max_stages, serve_k=serve_k
+    )
+    if not pipelines:
+        raise ValueError(
+            "the item ladders admit no pipeline; widen --first-stage-items / "
+            "--later-stage-items or lower --serve-k"
+        )
+    scheduler = make_scheduler(
+        evaluator, num_queries=num_queries, num_tables=num_tables, seed=seed, service=service
+    )
+    return PathTable.compile(
+        scheduler,
+        pipelines,
+        platforms,
+        qps_grid,
+        sla_ms=sla_ms,
+        quality_target=quality_target,
+        seed=seed,
+    )

@@ -9,7 +9,9 @@ estimator was swapped, a scenario axis moved.  This module reads the two
 * changed resolved knobs (engine, estimator, service model, cluster mix),
 * per-experiment metric deltas (mean over rows, run B minus run A, with
   direction arrows),
-* experiments/artifacts present in only one run.
+* experiments present in only one run,
+* shared experiments whose JSON artifact is missing or unreadable in
+  either run.
 
 Wall-clock fields are ignored throughout — they differ on every run and
 carry no information.  When nothing else differs the report says exactly
@@ -71,14 +73,14 @@ def _metric_means(rows: list[Mapping]) -> dict[str, float]:
 
 
 def _experiment_metrics(output_dir: Path, entry: Mapping) -> dict[str, float] | None:
-    """The metric means of one manifest entry, or None when unreadable."""
+    """The metric means of one manifest entry, or None when missing or unreadable."""
     json_name = entry.get("json")
     if not json_name:
         return None
-    path = output_dir / json_name
-    if not path.is_file():
+    try:
+        payload = artifacts.load_result_json(output_dir / json_name)
+    except (OSError, ValueError):  # missing file, bad encoding or bad JSON
         return None
-    payload = artifacts.load_result_json(path)
     return _metric_means(payload.get("rows", []))
 
 
@@ -137,10 +139,16 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
     only_b = [exp_id for exp_id in entries_b if exp_id not in entries_a]
 
     metric_lines: list[str] = []
+    unreadable_lines: list[str] = []
     for exp_id in shared:
         means_a = _experiment_metrics(dir_a, entries_a[exp_id])
         means_b = _experiment_metrics(dir_b, entries_b[exp_id])
         if means_a is None or means_b is None:
+            unreadable_lines += [
+                f"- `{exp_id}`: JSON artifact missing or unreadable in run {label}"
+                for label, means in (("A", means_a), ("B", means_b))
+                if means is None
+            ]
             continue
         deltas = [
             (key, means_a[key], means_b[key])
@@ -173,6 +181,9 @@ def compare_runs(dir_a: Path, dir_b: Path) -> str:
     if metric_lines:
         found_difference = True
         report += ["## Metric deltas", "", *metric_lines]
+    if unreadable_lines:
+        found_difference = True
+        report += _section("Unreadable artifacts", unreadable_lines)
 
     artifact_lines: list[str] = []
     for exp_id in only_b:

@@ -18,14 +18,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.cache_scenarios import (
-    BASE,
-    build_table,
-    evaluate_policies,
-    hit_rate_notes,
-)
+from repro.experiments.cache_scenarios import BASE, build_table, hit_rate_notes
 from repro.experiments.common import ExperimentResult
-from repro.experiments.router_online import SLA_MS, result_row
+from repro.experiments.router_online import SLA_MS, compare_policies, result_row
 from repro.serving.trace import spike_trace
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
@@ -81,7 +76,7 @@ def run(seed: int = 0) -> ExperimentResult:
     """Replay the flashcrowd under static/oracle/online; assert the headline."""
     table = build_table(seed)
     trace = build_trace(seed)
-    policies = evaluate_policies(table, trace, service_steps(trace.num_steps))
+    policies = compare_policies(table, trace, service_steps=service_steps(trace.num_steps))
     result = ExperimentResult(name="flashcrowd")
     for routing in policies.values():
         result.add(**result_row(trace, routing))

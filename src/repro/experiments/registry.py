@@ -3,11 +3,10 @@
 Each harness module exposes ``TITLE`` / ``PAPER_REF`` / ``TAGS`` constants and
 a ``run()`` callable; this module assembles them into
 :class:`ExperimentSpec` records and a queryable :class:`ExperimentRegistry`.
-The registry replaces the hand-maintained dict that used to live in
-:mod:`repro.experiments.runner`: adding a new scenario is now a single
-:func:`ExperimentRegistry.register` call (or module + one line in
-:func:`default_registry`), and the ``recpipe`` CLI, the runner, and the
-benchmark suite all read from the same source of truth.
+Adding a new scenario is a single :func:`ExperimentRegistry.register` call
+(or module + one line in :func:`default_registry`), and the ``recpipe`` CLI,
+the scenario runner and the benchmark suite all read from the same source
+of truth.
 """
 
 from __future__ import annotations

@@ -27,10 +27,9 @@ static bounds.
 
 from __future__ import annotations
 
-from repro.core.pipeline import PipelineConfig, enumerate_pipelines
-from repro.core.scheduler import RecPipeScheduler
-from repro.experiments.common import ExperimentResult, criteo_quality_evaluator, make_scheduler
-from repro.models.zoo import criteo_model_specs
+from typing import Sequence
+
+from repro.experiments.common import ExperimentResult, compile_table
 from repro.serving.estimators import LoadEstimator, estimator_from_knobs
 from repro.serving.router import (
     MultiPathRouter,
@@ -39,7 +38,8 @@ from repro.serving.router import (
     route_oracle,
     route_static,
 )
-from repro.serving.trace import LoadTrace, diurnal_trace, ramp_trace, spike_trace
+from repro.serving.service_times import CachedServiceConfig
+from repro.serving.trace import LoadTrace, make_trace
 
 #: Spec metadata consumed by :mod:`repro.experiments.registry`.
 TITLE = "Online multi-path serving router (estimator grid vs static/oracle bounds)"
@@ -73,27 +73,24 @@ EWMA_ALPHA = 0.5
 QUALITY_SLACK = 1e-3
 
 
-def build_pipelines() -> list[PipelineConfig]:
-    """The routed candidate funnels (7 one/two-stage Criteo pipelines)."""
-    return enumerate_pipelines(
-        criteo_model_specs(),
+def build_table(seed: int = 0, service: CachedServiceConfig | None = None) -> PathTable:
+    """Compile the experiment's routing table (14 paths x 7 loads).
+
+    The paths are the 7 one/two-stage Criteo funnels on each platform;
+    ``service`` selects the table's service-time model.
+    """
+    return compile_table(
+        "criteo",
+        pool=POOL,
+        platforms=PLATFORMS,
+        qps_grid=QPS_GRID,
+        sla_ms=SLA_MS,
         first_stage_items=(POOL,),
         later_stage_items=(128, 256),
         max_stages=2,
         serve_k=64,
-    )
-
-
-def build_table(seed: int = 0, scheduler: RecPipeScheduler | None = None) -> PathTable:
-    """Compile the experiment's routing table (14 paths x 7 loads)."""
-    if scheduler is None:
-        scheduler = make_scheduler(criteo_quality_evaluator(POOL), num_queries=NUM_QUERIES)
-    return PathTable.compile(
-        scheduler,
-        build_pipelines(),
-        PLATFORMS,
-        QPS_GRID,
-        sla_ms=SLA_MS,
+        num_queries=NUM_QUERIES,
+        service=service,
         seed=seed,
     )
 
@@ -107,32 +104,18 @@ def default_traces(seed: int = 0) -> list[LoadTrace]:
     not — the regime split the router exists for.
     """
     return [
-        diurnal_trace(
-            num_steps=96,
-            step_seconds=60.0,
+        make_trace("diurnal", base_qps=150.0, peak_qps=5000.0, num_steps=96, noise=0.05, seed=seed),
+        make_trace(
+            "spike",
             base_qps=150.0,
-            peak_qps=5000.0,
-            noise=0.05,
-            seed=seed,
-        ),
-        spike_trace(
+            peak_qps=5500.0,
             num_steps=120,
-            step_seconds=60.0,
-            base_qps=150.0,
-            spike_qps=5500.0,
             spike_start=40,
             spike_steps=20,
             noise=0.03,
             seed=seed,
         ),
-        ramp_trace(
-            num_steps=60,
-            step_seconds=60.0,
-            start_qps=100.0,
-            end_qps=6000.0,
-            noise=0.03,
-            seed=seed,
-        ),
+        make_trace("ramp", base_qps=100.0, peak_qps=6000.0, num_steps=60, noise=0.03, seed=seed),
     ]
 
 
@@ -158,17 +141,22 @@ def compare_policies(
     trace: LoadTrace,
     router: MultiPathRouter | None = None,
     planning_qps: float | None = None,
+    service_steps: Sequence[CachedServiceConfig | None] | None = None,
 ) -> dict[str, RoutingResult]:
     """Static, oracle and online results for one trace, in that order.
 
     ``router`` overrides the online policy under test (the CLI passes its
     own knobs); by default the experiment's :func:`build_router` runs.
     ``planning_qps`` overrides the static policy's provisioning load.
+    ``service_steps`` evaluates every policy's schedule under the same
+    per-step service configs (the cache-state scenarios); the policies
+    still decide from load alone.
     """
+    online = build_router(table) if router is None else router
     return {
-        "static": route_static(table, trace, planning_qps=planning_qps),
-        "oracle": route_oracle(table, trace),
-        "online": (build_router(table) if router is None else router).route(trace),
+        "static": route_static(table, trace, planning_qps, service_steps=service_steps),
+        "oracle": route_oracle(table, trace, service_steps=service_steps),
+        "online": online.route(trace, service_steps=service_steps),
     }
 
 

@@ -23,13 +23,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.pipeline import enumerate_pipelines
-from repro.experiments.common import (
-    ExperimentResult,
-    criteo_quality_evaluator,
-    make_scheduler,
-    movielens_quality_evaluator,
-)
+from repro.experiments.common import ExperimentResult, compile_table
 from repro.experiments.router_online import compare_policies, result_row, violation_note
 from repro.scenarios.config import (
     ScenarioCell,
@@ -38,9 +32,9 @@ from repro.scenarios.config import (
     scenario_from_mapping,
 )
 from repro.serving.estimators import estimator_from_knobs
-from repro.serving.router import MultiPathRouter, PathTable
+from repro.serving.router import MultiPathRouter
 from repro.serving.service_times import SERVICE_MODELS
-from repro.serving.trace import diurnal_trace, ramp_trace, spike_trace
+from repro.serving.trace import make_trace
 
 if TYPE_CHECKING:  # the registry imports this module; keep the edge type-only
     from repro.experiments.registry import ExperimentRegistry, ExperimentSpec
@@ -66,28 +60,19 @@ TABLE_PARAMS = (
     "embedding_scale",
 )
 
-
-def _workload(dataset: str, pool: int):
-    """(evaluator, model specs, embedding-table count) for one dataset.
-
-    Parameters
-    ----------
-    dataset : str
-        One of the scenario datasets (``criteo``, ``movielens-*``).
-    pool : int
-        Candidates per ranking query.
-
-    Returns
-    -------
-    tuple
-        ``(evaluator, model_specs, num_tables)``.
-    """
-    from repro.models.zoo import criteo_model_specs, movielens_model_specs
-
-    if dataset == "criteo":
-        return criteo_quality_evaluator(pool), criteo_model_specs(), 26
-    preset = dataset.split("-", 1)[1]
-    return movielens_quality_evaluator(preset, pool), movielens_model_specs(), 2
+#: Cell parameters :func:`~repro.experiments.common.compile_table` takes as
+#: keywords of the same name.
+_COMPILE_KNOBS = (
+    "pool",
+    "qps_grid",
+    "sla_ms",
+    "quality_target",
+    "first_stage_items",
+    "later_stage_items",
+    "max_stages",
+    "serve_k",
+    "num_queries",
+)
 
 
 @lru_cache(maxsize=8)
@@ -109,38 +94,20 @@ def _compiled_table(key: tuple, seed: int):
         single-node tables (sharded embeddings, priced gathers).
     """
     params = dict(zip(TABLE_PARAMS, key))
-    evaluator, specs, num_tables = _workload(params["dataset"], params["pool"])
-    scheduler = make_scheduler(
-        evaluator,
-        num_queries=params["num_queries"],
-        num_tables=num_tables,
-        seed=seed,
-        service=SERVICE_MODELS[params["service_model"]],
-    )
-    pipelines = enumerate_pipelines(
-        specs,
-        first_stage_items=params["first_stage_items"],
-        later_stage_items=params["later_stage_items"],
-        max_stages=params["max_stages"],
-        serve_k=params["serve_k"],
-    )
-    if not pipelines:
-        raise ValueError("the scenario's item ladders admit no pipeline")
     platforms = tuple(str(params["platforms"]).split("+"))
     if params["nodes"] == "1":
-        return PathTable.compile(
-            scheduler,
-            pipelines,
-            platforms,
-            params["qps_grid"],
-            sla_ms=params["sla_ms"],
-            quality_target=params["quality_target"],
-            seed=seed,
-        )
-    return _compile_fleet(scheduler, pipelines, params, seed)
+        return _compile_platforms(params, platforms, seed)
+    return _compile_fleet(params, seed)
 
 
-def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
+def _compile_platforms(params: Mapping, platforms: tuple, seed: int):
+    """The cell's single-node :class:`~repro.serving.router.PathTable` on ``platforms``."""
+    service = SERVICE_MODELS[params["service_model"]]
+    knobs = {name: params[name] for name in _COMPILE_KNOBS}
+    return compile_table(params["dataset"], platforms=platforms, service=service, seed=seed, **knobs)
+
+
+def _compile_fleet(params: Mapping, seed: int):
     """Compose a :class:`~repro.cluster.fleet.ClusterTable` for a node mix.
 
     Per-platform single-node tables are compiled over the cell's QPS grid;
@@ -150,10 +117,6 @@ def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
 
     Parameters
     ----------
-    scheduler : RecPipeScheduler
-        The cell's scheduler (quality + simulation budget).
-    pipelines : list
-        The cell's enumerated candidate funnels.
     params : Mapping
         The cell's resolved parameters.
     seed : int
@@ -172,15 +135,7 @@ def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
 
     mix = parse_mix(params["nodes"])
     platform_tables = {
-        platform: PathTable.compile(
-            scheduler,
-            pipelines,
-            (platform,),
-            params["qps_grid"],
-            sla_ms=params["sla_ms"],
-            quality_target=params["quality_target"],
-            seed=seed,
-        )
+        platform: _compile_platforms(params, (platform,), seed)
         for platform in dict.fromkeys(mix)
     }
     budget_bytes = int(params["budget_gb"] * 2**30)
@@ -195,41 +150,6 @@ def _compile_fleet(scheduler, pipelines, params: Mapping, seed: int):
     return build_cluster_table(
         nodes, platform_tables, cluster_grid, plan, InterconnectLink(), EmbeddingCacheConfig()
     )
-
-
-def _build_trace(params: Mapping, seed: int):
-    """The cell's load trace from its shared shape parameters.
-
-    Parameters
-    ----------
-    params : Mapping
-        The cell's resolved parameters (``trace``, ``steps``, ...).
-    seed : int
-        Trace noise seed.
-
-    Returns
-    -------
-    LoadTrace
-        The generated trace.
-    """
-    shape = dict(
-        num_steps=params["steps"],
-        step_seconds=params["step_seconds"],
-        noise=params["noise"],
-        seed=seed,
-    )
-    builders = {
-        "diurnal": lambda: diurnal_trace(
-            base_qps=params["base_qps"], peak_qps=params["peak_qps"], **shape
-        ),
-        "spike": lambda: spike_trace(
-            base_qps=params["base_qps"], spike_qps=params["peak_qps"], **shape
-        ),
-        "ramp": lambda: ramp_trace(
-            start_qps=params["base_qps"], end_qps=params["peak_qps"], **shape
-        ),
-    }
-    return builders[params["trace"]]()
 
 
 def run_cell(cell: ScenarioCell, seed: int | None = None) -> ExperimentResult:
@@ -252,7 +172,15 @@ def run_cell(cell: ScenarioCell, seed: int | None = None) -> ExperimentResult:
     params = cell.params
     seed = params["seed"] if seed is None else seed
     table = _compiled_table(tuple(params[name] for name in TABLE_PARAMS), seed)
-    trace = _build_trace(params, seed)
+    trace = make_trace(
+        params["trace"],
+        base_qps=params["base_qps"],
+        peak_qps=params["peak_qps"],
+        num_steps=params["steps"],
+        step_seconds=params["step_seconds"],
+        noise=params["noise"],
+        seed=seed,
+    )
     router = MultiPathRouter(table, estimator=estimator_from_knobs(params["estimator"]))
     routings = compare_policies(table, trace, router=router)
     result = ExperimentResult(name=cell.id)

@@ -813,7 +813,10 @@ class PathTable:
 
 
 def route_static(
-    table: PathTable, trace: LoadTrace, planning_qps: float | None = None
+    table: PathTable,
+    trace: LoadTrace,
+    planning_qps: float | None = None,
+    service_steps: Sequence[CachedServiceConfig | None] | None = None,
 ) -> RoutingResult:
     """Serve the whole trace on the single path provisioned offline.
 
@@ -832,6 +835,9 @@ def route_static(
         The load the static path is provisioned for (default: trace median).
         Must be strictly positive — it is an offered load the table is
         consulted at.
+    service_steps : sequence of CachedServiceConfig or None, optional
+        Per-step service-model overrides the schedule is evaluated under
+        (see :meth:`PathTable.evaluate_route`); the decision ignores them.
 
     Returns
     -------
@@ -850,14 +856,22 @@ def route_static(
             )
     index = table.best_path(provisioned)
     steps = [index] * trace.num_steps
-    return table.evaluate_route(trace, steps, [False] * trace.num_steps, policy="static")
+    return table.evaluate_route(
+        trace, steps, [False] * trace.num_steps, policy="static", service_steps=service_steps
+    )
 
 
-def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
+def route_oracle(
+    table: PathTable,
+    trace: LoadTrace,
+    service_steps: Sequence[CachedServiceConfig | None] | None = None,
+) -> RoutingResult:
     """Serve the trace with clairvoyant per-step path selection.
 
     The oracle sees each step's true offered load before serving it and
     switches instantly and for free — the upper bound online policies chase.
+    It is clairvoyant about load only: its choices come from the table's
+    default service model even when ``service_steps`` overrides it.
 
     Parameters
     ----------
@@ -865,6 +879,9 @@ def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
         The compiled routing table.
     trace : LoadTrace
         The load trace to serve.
+    service_steps : sequence of CachedServiceConfig or None, optional
+        Per-step service-model overrides the schedule is evaluated under
+        (see :meth:`PathTable.evaluate_route`).
 
     Returns
     -------
@@ -873,7 +890,7 @@ def route_oracle(table: PathTable, trace: LoadTrace) -> RoutingResult:
     """
     steps = [table.best_path(float(q)) for q in trace.qps]
     switches = [False] + [a != b for a, b in zip(steps, steps[1:])]
-    return table.evaluate_route(trace, steps, switches, policy="oracle")
+    return table.evaluate_route(trace, steps, switches, policy="oracle", service_steps=service_steps)
 
 
 @dataclass
@@ -989,20 +1006,6 @@ class MultiPathRouter:
         Delegates to :meth:`estimate_over` on the trace's per-step loads.
         """
         return self.estimate_over(trace.qps)
-
-    def estimate_qps(self, trace: LoadTrace, step: int) -> float:
-        """The router's load estimate entering ``step``.
-
-        Replays the estimator over the observed prefix ``trace.qps[:step]``
-        (strictly causal); prefer :meth:`estimate_series` when every step's
-        estimate is needed.
-        """
-        if step == 0:
-            return float(trace.qps[0])
-        self.estimator.reset()
-        for qps in trace.qps[:step]:
-            self.estimator.observe(float(qps))
-        return self.estimator.predict()
 
     def _switch_pays_off(self, current: int, candidate: int, qps: float, streak: int) -> bool:
         """Whether committing ``candidate`` over ``current`` repays the switch cost.
@@ -1133,13 +1136,21 @@ class MultiPathRouter:
         """
         return self.decide_from_estimates(self.estimate_series(trace))
 
-    def route(self, trace: LoadTrace) -> RoutingResult:
+    def route(
+        self,
+        trace: LoadTrace,
+        service_steps: Sequence[CachedServiceConfig | None] | None = None,
+    ) -> RoutingResult:
         """Decide and simulate the whole trace online.
 
         Parameters
         ----------
         trace : LoadTrace
             The load trace to serve.
+        service_steps : sequence of CachedServiceConfig or None, optional
+            Per-step service-model overrides the schedule is evaluated under
+            (see :meth:`PathTable.evaluate_route`); decisions stay
+            load-driven and never see them.
 
         Returns
         -------
@@ -1153,4 +1164,5 @@ class MultiPathRouter:
             switches,
             policy="online",
             switch_penalty_seconds=self.switch_penalty_seconds,
+            service_steps=service_steps,
         )

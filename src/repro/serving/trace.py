@@ -19,8 +19,8 @@ generator families cover the scenarios the serving literature sweeps:
 Every generator takes a ``seed`` and draws its multiplicative noise from
 ``np.random.default_rng(seed)``, so a (generator, arguments, seed) triple
 always reproduces the same trace — the same contract the sweep layer keeps
-for arrival noise.  :data:`TRACES` maps trace names to generators for the
-CLI and the router experiment.
+for arrival noise.  :data:`TRACES` maps trace names to generators, and
+:func:`make_trace` builds any of them from shared base/peak load knobs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LOAD_KEYWORDS",
     "LoadTrace",
     "TRACES",
     "diurnal_trace",
@@ -310,23 +311,39 @@ def ramp_trace(
     return LoadTrace("ramp", step_seconds, _noisy(qps, noise, seed))
 
 
-#: Trace generators by name, for the CLI and the router experiment.
+#: Trace generators by name, for the CLI, the scenario runner and the router
+#: experiment.
 TRACES = {
     "diurnal": diurnal_trace,
     "spike": spike_trace,
     "ramp": ramp_trace,
 }
 
+#: Each generator's own keywords for the shared ``base_qps``/``peak_qps``
+#: knobs of :func:`make_trace`.  A new trace is one generator in
+#: :data:`TRACES` plus its pair here.
+LOAD_KEYWORDS = {
+    "diurnal": ("base_qps", "peak_qps"),
+    "spike": ("base_qps", "spike_qps"),
+    "ramp": ("start_qps", "end_qps"),
+}
 
-def make_trace(name: str, **kwargs) -> LoadTrace:
-    """Build the named trace, forwarding generator keyword arguments.
+
+def make_trace(
+    name: str, *, base_qps: float | None = None, peak_qps: float | None = None, **shape
+) -> LoadTrace:
+    """Build the named trace from the shared base/peak load knobs.
 
     Parameters
     ----------
     name : str
         One of :data:`TRACES` (``diurnal``, ``spike``, ``ramp``).
-    **kwargs
-        Forwarded to the generator (e.g. ``num_steps``, ``seed``).
+    base_qps, peak_qps : float, optional
+        The trace's low and high load, passed to the generator under its
+        own keywords (:data:`LOAD_KEYWORDS`); omitted knobs keep the
+        generator's defaults.
+    **shape
+        Forwarded to the generator (e.g. ``num_steps``, ``noise``, ``seed``).
 
     Returns
     -------
@@ -337,4 +354,9 @@ def make_trace(name: str, **kwargs) -> LoadTrace:
         generator = TRACES[name]
     except KeyError:
         raise ValueError(f"unknown trace {name!r}; expected one of {sorted(TRACES)}") from None
-    return generator(**kwargs)
+    base_keyword, peak_keyword = LOAD_KEYWORDS[name]
+    if base_qps is not None:
+        shape[base_keyword] = base_qps
+    if peak_qps is not None:
+        shape[peak_keyword] = peak_qps
+    return generator(**shape)

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro import cli
-from repro.experiments import artifacts
-from repro.experiments.common import ExperimentResult
+from repro.experiments import artifacts, common
+from repro.experiments.common import ExperimentResult, workload
 from repro.experiments.registry import default_registry
 
 
@@ -246,18 +246,31 @@ class TestSweep:
         assert artifacts.load_manifest(tmp_path)["config"]["serve_k"] == 32
 
     def test_sweep_uses_dataset_embedding_tables(self):
-        _, _, criteo_tables, _ = cli._sweep_workload("criteo", 256)
-        _, _, ml_tables, _ = cli._sweep_workload("movielens-1m", 256)
+        _, _, criteo_tables = workload("criteo", 256)
+        evaluator, _, ml_tables = workload("movielens-1m", 256)
         assert criteo_tables == 26
         assert ml_tables == 2
-
-    def test_sweep_default_pool_fits_movielens_catalogue(self):
-        # MovieLens-1M's catalogue is smaller than Criteo's 4096 default.
-        evaluator, _, _, pool = cli._sweep_workload("movielens-1m", None)
-        assert pool == 1024
         assert evaluator.queries
-        _, _, _, criteo_pool = cli._sweep_workload("criteo", None)
-        assert criteo_pool == 4096
+
+    def test_sweep_default_pool_fits_movielens_catalogue(self, monkeypatch):
+        # MovieLens-1M's catalogue is smaller than Criteo's 4096 default;
+        # route pairs Criteo with a 512 pool.  Each command picks its own.
+        def pools(argv):
+            seen = []
+
+            def record(dataset, pool):
+                seen.append(pool)
+                raise RuntimeError("stop after the workload")
+
+            monkeypatch.setattr(common, "workload", record)
+            for dataset in ("criteo", "movielens-1m"):
+                with pytest.raises(RuntimeError, match="stop after"):
+                    cli.main([*argv, "--dataset", dataset])
+            return seen
+
+        assert pools(["sweep"]) == [4096, 1024]
+        assert pools(["route"]) == [512, 1024]
+        assert pools(["route", "--pool", "300"]) == [300, 300]
 
     def test_saturated_rows_serialize_as_strict_json(self, tmp_path):
         result = ExperimentResult(name="sat")
@@ -327,11 +340,19 @@ class TestMergeJsonSection:
             "new_section": {"x": 1},
         }
 
-    def test_unparsable_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text("{not json")
+    def test_missing_file_starts_empty(self, tmp_path):
+        path = tmp_path / "new" / "BENCH.json"
+        path.parent.mkdir()
         artifacts.merge_json_section(path, "a", {"x": 1})
         assert json.loads(path.read_text()) == {"a": {"x": 1}}
+
+    def test_unparsable_file_raises_naming_the_path(self, tmp_path):
+        # Rewriting it as {} would silently drop every other section.
+        path = tmp_path / "BENCH.json"
+        path.write_text('{"kept": {"x": 1}, not json')
+        with pytest.raises(ValueError, match="BENCH.json"):
+            artifacts.merge_json_section(path, "a", {"x": 1})
+        assert path.read_text() == '{"kept": {"x": 1}, not json'
 
     def test_non_finite_floats_sanitized(self, tmp_path):
         path = tmp_path / "BENCH.json"
@@ -408,6 +429,28 @@ class TestRoute:
     def test_unknown_trace_is_an_error(self, capsys):
         assert cli.main(["route", "--trace", "tsunami"]) == 2
         assert "tsunami" in capsys.readouterr().err
+
+    def test_registered_trace_is_addressable(self, monkeypatch):
+        # A generator plus its base/peak keywords in serving.trace is all a
+        # new trace needs to be routable by name.
+        import numpy as np
+
+        from repro.serving import trace as trace_module
+
+        def step_trace(num_steps, step_seconds, low_qps, high_qps, noise, seed):
+            qps = np.where(np.arange(num_steps) < num_steps // 2, low_qps, high_qps)
+            return trace_module.LoadTrace("step", step_seconds, qps)
+
+        monkeypatch.setitem(trace_module.TRACES, "step", step_trace)
+        monkeypatch.setitem(trace_module.LOAD_KEYWORDS, "step", ("low_qps", "high_qps"))
+        args = cli.build_parser().parse_args(
+            ["route", "--trace", "step,spike", "--steps", "4"]
+            + ["--base-qps", "70", "--peak-qps", "700"]
+        )
+        step, spike = cli._route_traces(args)
+        assert step.name == "step"
+        np.testing.assert_array_equal(step.qps, [70.0, 70.0, 700.0, 700.0])
+        assert spike.name == "spike" and spike.num_steps == 4
 
     def test_policy_defaults_come_from_the_router_dataclass(self):
         # The dataclass is the single source of truth: the CLI defaults and

@@ -93,6 +93,20 @@ class TestCompareRuns:
         assert "- `other` only in run B" in report
         assert "- `cell` missing from run B" in report
 
+    def test_missing_or_unreadable_artifact_is_a_difference(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_run(a)
+        write_run(b)
+        (b / "cell.json").unlink()
+        report = compare_runs(a, b)
+        assert "## Unreadable artifacts" in report
+        assert "- `cell`: JSON artifact missing or unreadable in run B" in report
+        assert NO_DIFFERENCES not in report
+        (a / "cell.json").write_text("{truncated", encoding="utf-8")
+        report = compare_runs(a, b)
+        assert "- `cell`: JSON artifact missing or unreadable in run A" in report
+        assert "- `cell`: JSON artifact missing or unreadable in run B" in report
+
     def test_v1_manifests_compare_without_crashing(self, tmp_path):
         for name in ("a", "b"):
             run = tmp_path / name

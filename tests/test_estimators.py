@@ -189,7 +189,7 @@ class TestHoltTrend:
 
 
 class TestRouterLagSemantics:
-    """Pinned-seed regression for ``MultiPathRouter.estimate_qps`` lag."""
+    """Pinned-seed regression for the lag of ``MultiPathRouter.estimate_series``."""
 
     def trace(self) -> LoadTrace:
         return spike_trace(
@@ -215,15 +215,16 @@ class TestRouterLagSemantics:
         trace = self.trace()
         for name in ESTIMATORS:
             router = self._router(name)
-            assert router.estimate_qps(trace, 0) == float(trace.qps[0])
+            assert router.estimate_series(trace)[0] == float(trace.qps[0])
 
     def test_windowed_estimate_matches_the_lagged_window_mean(self):
         trace = self.trace()
         router = MultiPathRouter(self._table(), window=3)
+        series = router.estimate_series(trace)
         for step in range(1, trace.num_steps):
             lo = max(0, step - router.window)
             expected = float(np.mean(trace.qps[lo:step]))
-            assert router.estimate_qps(trace, step) == pytest.approx(expected)
+            assert series[step] == pytest.approx(expected)
 
     def test_estimate_series_agrees_with_per_step_replay(self):
         trace = self.trace()
@@ -231,8 +232,13 @@ class TestRouterLagSemantics:
             router = self._router(name)
             series = router.estimate_series(trace)
             assert series.shape == (trace.num_steps,)
-            for step in range(trace.num_steps):
-                assert series[step] == pytest.approx(router.estimate_qps(trace, step))
+            # Replay the estimator from scratch over each observed prefix.
+            estimator = make_estimator(name)
+            for step in range(1, trace.num_steps):
+                estimator.reset()
+                for qps in trace.qps[:step]:
+                    estimator.observe(float(qps))
+                assert series[step] == pytest.approx(estimator.predict())
 
     def test_pinned_seed_windowed_estimates(self):
         # Frozen numbers: if these move, the lag semantics changed.

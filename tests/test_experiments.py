@@ -13,6 +13,7 @@ from repro.experiments import fig01_motivation, fig03_quality, fig05_ablation
 from repro.experiments import fig10_design_space, fig11_area_power
 from repro.experiments import fig12_rpaccel_scale, fig13_future
 from repro.experiments.common import (
+    ExperimentResult,
     criteo_one_stage,
     criteo_quality_evaluator,
     criteo_two_stage,
@@ -171,3 +172,20 @@ class TestFig13Future:
         assert math.isfinite(single_growth) and math.isfinite(multi_growth)
         assert multi_growth < single_growth
         assert rows[-1]["multi_stage_latency_ms"] < rows[-1]["single_stage_latency_ms"]
+
+
+class TestExperimentResultHelpers:
+    def test_column_and_filtered(self):
+        result = ExperimentResult(name="x")
+        result.add(a=1, b="u")
+        result.add(a=2, b="v")
+        assert result.column("a") == [1, 2]
+        assert result.filtered(b="v")[0]["a"] == 2
+
+    def test_format_table_empty(self):
+        assert "(no rows)" in ExperimentResult(name="empty").format_table()
+
+    def test_format_table_handles_inf(self):
+        result = ExperimentResult(name="x")
+        result.add(value=float("inf"))
+        assert "inf" in result.format_table()

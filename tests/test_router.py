@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.scheduler import RecPipeScheduler
 from repro.core.sweep import SweepConfig, run_sweep
 from repro.models.zoo import RM_LARGE, RM_SMALL, criteo_model_specs
 from repro.serving.router import (
@@ -11,6 +12,7 @@ from repro.serving.router import (
     route_oracle,
     route_static,
 )
+from repro.serving.service_times import CachedServiceConfig
 from repro.serving.simulator import SimulationConfig
 from repro.serving.trace import LoadTrace, spike_trace
 
@@ -592,3 +594,84 @@ class TestCompiledTables:
         # Under pressure the router gives up quality for feasibility.
         assert high.quality <= low.quality
         assert high.capacity_qps > low.capacity_qps
+
+    @pytest.mark.parametrize("service", [None, CachedServiceConfig()], ids=["det", "cached"])
+    def test_scheduler_seed_never_reaches_the_table(self, criteo_workload, service):
+        """Only the compile seed shapes a table: its columns and dwell cells
+        draw from streams spawned off it, never from the scheduler's own
+        simulation seed."""
+        _, pipelines = criteo_workload
+        evaluator = criteo_workload[0].evaluator
+        tables = [
+            PathTable.compile(
+                RecPipeScheduler(
+                    evaluator,
+                    simulation=SimulationConfig.with_budget(300, seed=sim_seed, service=service),
+                ),
+                pipelines,
+                ("cpu",),
+                (250.0, 1000.0, 4000.0, 8000.0),
+                sla_ms=25.0,
+                seed=3,
+            )
+            for sim_seed in (0, 11)
+        ]
+        np.testing.assert_array_equal(tables[0].p99_grid, tables[1].p99_grid)
+        for index in range(len(tables[0].paths)):
+            for qps in (300.0, 2500.0, 7000.0):
+                first, second = (table.dwell_latencies(index, qps) for table in tables)
+                if first is None:
+                    assert second is None
+                else:
+                    np.testing.assert_array_equal(first, second)
+
+
+class TestServiceStepOverrides:
+    """Every policy forwards ``service_steps`` to ``evaluate_route`` unchanged."""
+
+    COLD = CachedServiceConfig(warm_fraction=0.0)
+
+    def policies(self, table, trace, **kwargs):
+        router = MultiPathRouter(table, switch_penalty_seconds=5e-3)
+        return [
+            route_static(table, trace, **kwargs),
+            route_oracle(table, trace, **kwargs),
+            router.route(trace, **kwargs),
+        ]
+
+    def trace(self) -> LoadTrace:
+        return spike_trace(
+            num_steps=24, step_seconds=10.0, base_qps=1000.0, spike_qps=4200.0, seed=2
+        )
+
+    def test_override_equals_evaluating_the_policy_decisions(self):
+        table = make_table()
+        trace = self.trace()
+        steps = [None] * 8 + [self.COLD] * 16
+        for routed in self.policies(table, trace, service_steps=steps):
+            direct = table.evaluate_route(
+                trace,
+                routed.path_steps,
+                routed.switch_steps,
+                policy=routed.policy,
+                switch_penalty_seconds=5e-3 if routed.policy == "online" else 0.0,
+                service_steps=steps,
+            )
+            assert routed == direct
+
+    def test_override_never_changes_a_decision(self):
+        table = make_table()
+        trace = self.trace()
+        plain = self.policies(table, trace)
+        cold = self.policies(table, trace, service_steps=[self.COLD] * trace.num_steps)
+        for a, b in zip(plain, cold):
+            assert a.path_steps == b.path_steps
+            assert a.switch_steps == b.switch_steps
+            assert b.violation_rate > a.violation_rate  # ...but it does cost
+
+    def test_omitted_equals_all_none(self):
+        table = make_table()
+        trace = self.trace()
+        plain = self.policies(table, trace)
+        explicit = self.policies(table, trace, service_steps=[None] * trace.num_steps)
+        assert plain == explicit

@@ -189,6 +189,26 @@ class TestGenerators:
     def test_loads_stay_positive(self, name):
         assert np.all(make_trace(name, seed=3).qps > 0)
 
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_base_and_peak_reach_the_generator_keywords(self, name):
+        # Written out per generator, independently of LOAD_KEYWORDS: a trace
+        # registered without its base/peak mapping fails here.
+        direct = {
+            "diurnal": lambda lo, hi, **shape: diurnal_trace(base_qps=lo, peak_qps=hi, **shape),
+            "spike": lambda lo, hi, **shape: spike_trace(base_qps=lo, spike_qps=hi, **shape),
+            "ramp": lambda lo, hi, **shape: ramp_trace(start_qps=lo, end_qps=hi, **shape),
+        }
+        shape = dict(num_steps=30, step_seconds=5.0, noise=0.04, seed=9)
+        built = make_trace(name, base_qps=120.0, peak_qps=3400.0, **shape)
+        expected = direct[name](120.0, 3400.0, **shape)
+        assert built.name == expected.name == name
+        assert built.step_seconds == expected.step_seconds
+        np.testing.assert_array_equal(built.qps, expected.qps)
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_omitted_loads_keep_the_generator_defaults(self, name):
+        np.testing.assert_array_equal(make_trace(name, seed=4).qps, TRACES[name](seed=4).qps)
+
     def test_unknown_trace_rejected(self):
         with pytest.raises(ValueError, match="unknown trace"):
             make_trace("tsunami")

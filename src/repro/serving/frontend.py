@@ -35,19 +35,25 @@ to fill, so the largest batch whose fill time fits the predicted headroom
 is ``b = floor((sla − p99(path, λ)) · λ)``, clamped to ``[1, max_batch]``
 (and to 1 whenever the path has no predicted headroom).
 
-The decision loop is vectorized the way PR 3 vectorized simulation: path
+The schedule is count-based: admission, batching and path choice are all
+per *window*, so no step of it touches individual queries.  Path
 candidates for all windows come from one
 :meth:`~repro.serving.router.PathTable.best_path_batch` call, batch sizes
-from array arithmetic, and per-query bookkeeping from contiguous slice
-fills over arrival-sorted arrays — only the inherently sequential
-hysteresis/backlog state machine remains a scalar loop over *windows*, so
-scheduling cost is amortized over every query in the window.
+from array arithmetic, and per-window arrival counts from one binary
+search of the window edges over the arrival-sorted stream.  Only the
+inherently sequential hysteresis/backlog state machine remains a scalar
+loop over windows; it keeps per-window counts plus the FIFO backlog as
+contiguous query-index intervals, and records each drained interval as a
+``(lo, hi, serve_window)`` row.  Per-query arrays
+(:attr:`FrontendSchedule.query_state` and friends) are rebuilt from those
+counts and rows only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,11 +100,13 @@ class QueryStream:
     arrival_seconds: np.ndarray
 
     def __post_init__(self) -> None:
-        """Validate ordering and freeze the arrival array."""
+        """Validate values and ordering, then freeze the arrival array."""
         arrivals = np.asarray(self.arrival_seconds, dtype=np.float64)
         if arrivals.ndim != 1:
             raise ValueError("arrival_seconds must be one-dimensional")
-        if arrivals.size and (np.any(np.diff(arrivals) < 0) or arrivals[0] < 0):
+        if not np.isfinite(arrivals).all():
+            raise ValueError("arrival_seconds contains non-finite arrivals (NaN or inf)")
+        if arrivals.size and (np.any(arrivals[1:] < arrivals[:-1]) or arrivals[0] < 0):
             raise ValueError("arrivals must be non-negative and non-decreasing")
         if self.duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
@@ -139,7 +147,16 @@ class QueryStream:
             rng = np.random.default_rng(seed)
             counts = rng.poisson(expected)
             times = np.repeat(starts, counts)
-            times = np.sort(times + trace.step_seconds * rng.random(times.size))
+            times += trace.step_seconds * rng.random(times.size)
+            # Each step's draws lie in [start, start + step), so sorting step
+            # by step equals one global sort; the junction check catches the
+            # draw rounding may carry past the next step's start.
+            ends = np.cumsum(counts)
+            for lo, hi in zip(ends - counts, ends):
+                times[lo:hi].sort()
+            junctions = ends[(counts > 0) & (ends < times.size)]
+            if np.any(times[junctions] < times[junctions - 1]):
+                times.sort()
         elif process == "paced":
             cumulative = np.floor(np.cumsum(expected) + 1e-9).astype(np.int64)
             counts = np.diff(np.concatenate(([0], cumulative)))
@@ -162,7 +179,14 @@ class FrontendSchedule:
     Produced by :meth:`StreamingFrontend.schedule` (the serving-time hot
     path the throughput benchmark measures); consumed by
     :meth:`StreamingFrontend.serve` to score the schedule on the analytic
-    engine.
+    engine.  The record is count-based: per-window arrays plus the drained
+    backlog intervals.  Queries are indexed in arrival order, window ``w``
+    owns the contiguous index range ``[sum(window_arrivals[:w]),
+    sum(window_arrivals[:w + 1]))``, and within it the first
+    ``window_admitted[w] - window_from_queue[w]`` queries are admitted
+    promptly, the next ``window_deferred[w]`` are queued and the rest are
+    shed.  The per-query views (:attr:`query_state`, :attr:`query_path`,
+    :attr:`query_serve_window`) are built from this record on first access.
 
     Attributes
     ----------
@@ -194,14 +218,14 @@ class FrontendSchedule:
         ``"queue-full"`` when the defer queue had no room).  Always
         populated — batching on or off — so ``route_steps.*`` artifacts
         stay schema-identical across modes.
-    query_state : np.ndarray
-        Admission outcome per query (``QUERY_SHED`` / ``QUERY_ADMITTED``
-        / ``QUERY_DEFERRED``; deferred queries dropped at stream end are
-        reclassified as shed).
-    query_path : np.ndarray
-        Path index that served each query (``-1``: shed).
-    query_serve_window : np.ndarray
-        Window that served each query (``-1``: shed).
+    drains : np.ndarray
+        One ``(lo, hi, serve_window)`` row per drained backlog slice: the
+        queries with indices ``[lo, hi)`` waited in the defer queue and
+        were served in window ``serve_window``.  Rows are in ascending
+        ``lo`` order (the queue is FIFO), shape ``(num_drains, 3)``.
+    dropped : int
+        Deferred queries still queued when the stream ended (never
+        served, so counted as shed).
     max_queue_depth : int
         Deepest the defer queue ever grew, in queries.
     """
@@ -218,9 +242,8 @@ class FrontendSchedule:
     window_deferred: np.ndarray
     window_shed: np.ndarray
     window_shed_reason: np.ndarray
-    query_state: np.ndarray
-    query_path: np.ndarray
-    query_serve_window: np.ndarray
+    drains: np.ndarray
+    dropped: int
     max_queue_depth: int
 
     @property
@@ -231,7 +254,7 @@ class FrontendSchedule:
     @property
     def offered_queries(self) -> int:
         """Total queries the stream offered."""
-        return int(self.query_state.size)
+        return int(self.window_arrivals.sum())
 
     @property
     def served_queries(self) -> int:
@@ -241,12 +264,53 @@ class FrontendSchedule:
     @property
     def deferred_served_queries(self) -> int:
         """Queries that waited in the defer queue and were later served."""
-        return int(np.sum(self.query_state == QUERY_DEFERRED))
+        return int(self.window_from_queue.sum())
 
     @property
     def shed_queries(self) -> int:
         """Queries rejected by admission control (never served)."""
-        return int(np.sum(self.query_state == QUERY_SHED))
+        return int(self.window_shed.sum()) + self.dropped
+
+    def _per_query(self, dtype, fill: int, prompt_value, drained_value) -> np.ndarray:
+        """A per-query array: ``fill`` for shed queries, else a per-window value.
+
+        ``prompt_value[w]`` marks the queries window ``w`` admitted on
+        arrival, ``drained_value[w]`` the backlog it drained.
+        """
+        out = np.full(self.offered_queries, fill, dtype=dtype)
+        starts = np.cumsum(self.window_arrivals) - self.window_arrivals
+        prompt = self.window_admitted - self.window_from_queue
+        for w in np.flatnonzero(prompt):
+            out[starts[w] : starts[w] + prompt[w]] = prompt_value[w]
+        for lo, hi, w in self.drains:
+            out[lo:hi] = drained_value[w]
+        return out
+
+    @cached_property
+    def query_state(self) -> np.ndarray:
+        """Admission outcome per query (int8).
+
+        ``QUERY_ADMITTED`` (served on arrival), ``QUERY_DEFERRED`` (served
+        after waiting in the queue) or ``QUERY_SHED`` (rejected, or still
+        queued at stream end).
+        """
+        return self._per_query(
+            np.int8,
+            QUERY_SHED,
+            np.full(self.num_windows, QUERY_ADMITTED),
+            np.full(self.num_windows, QUERY_DEFERRED),
+        )
+
+    @cached_property
+    def query_path(self) -> np.ndarray:
+        """Path index that served each query (int32; ``-1``: shed)."""
+        return self._per_query(np.int32, -1, self.window_paths, self.window_paths)
+
+    @cached_property
+    def query_serve_window(self) -> np.ndarray:
+        """Window that served each query (int64; ``-1``: shed)."""
+        windows = np.arange(self.num_windows)
+        return self._per_query(np.int64, -1, windows, windows)
 
     @property
     def shed_rate(self) -> float:
@@ -415,9 +479,10 @@ class StreamingFrontend:
 
         No engine work happens here — only the compiled table, the
         estimator and integer bookkeeping — so this is what the routed
-        queries/s benchmark measures.  Per-query outcomes are written with
-        contiguous slice fills over the arrival-sorted query arrays; the
-        scalar loop runs once per *window*.
+        queries/s benchmark measures.  Nothing here is per query: window
+        counts come from a binary search of the window edges, and the
+        scalar loop runs once per *window*, keeping counts and the FIFO
+        backlog's index intervals.
 
         Parameters
         ----------
@@ -430,21 +495,17 @@ class StreamingFrontend:
         Returns
         -------
         FrontendSchedule
-            Per-window and per-query decisions.
+            Per-window decisions plus the drained backlog intervals.
         """
         window = self._window_width(trace)
         if stream is None:
             stream = self._stream_for(trace)
-        log = _event_log()
         estimates, paths, switches = self.decide_windows(trace)
         num_windows = estimates.size
         paths_array = np.asarray(paths, dtype=np.intp)
         batch = self._batch_sizes(estimates, paths_array)
 
-        window_of = np.floor_divide(stream.arrival_seconds, window).astype(np.int64)
-        if stream.num_queries and window_of[-1] >= num_windows:
-            raise ValueError("stream extends past the trace duration")
-        arrivals = np.bincount(window_of, minlength=num_windows)
+        arrivals = self._window_counts(stream, window, num_windows)
         window_ends = np.cumsum(arrivals)
 
         max_feasible = np.asarray(
@@ -453,86 +514,46 @@ class StreamingFrontend:
         caps = np.floor(max_feasible[paths_array] * window).astype(np.int64)
         queue_limits = np.floor(self.defer_windows * caps).astype(np.int64)
 
-        query_state = np.zeros(stream.num_queries, dtype=np.int8)
-        query_path = np.full(stream.num_queries, -1, dtype=np.int32)
-        query_serve_window = np.full(stream.num_queries, -1, dtype=np.int64)
-        admitted = np.zeros(num_windows, dtype=np.int64)
-        from_queue = np.zeros(num_windows, dtype=np.int64)
-        deferred = np.zeros(num_windows, dtype=np.int64)
-        shed = np.zeros(num_windows, dtype=np.int64)
-        shed_reason = np.full(num_windows, "none", dtype="<U11")
-
+        # The state machine runs on Python ints; the per-window outcome
+        # arrays are assembled once it is done.
+        admitted, from_queue, deferred, shed = [], [], [], []
+        drains: list[tuple[int, int, int]] = []
         backlog: deque[tuple[int, int]] = deque()
         backlog_size = 0
-        max_queue_depth = 0
-        for w in range(num_windows):
-            path = int(paths_array[w])
-            cap = int(caps[w])
+        start = 0
+        for w, (cap, limit, end) in enumerate(
+            zip(caps.tolist(), queue_limits.tolist(), window_ends.tolist())
+        ):
             remaining = cap
             # Drain the FIFO backlog ahead of this window's fresh arrivals.
             while backlog and remaining > 0:
                 lo, hi = backlog[0]
                 take = min(hi - lo, remaining)
-                query_path[lo : lo + take] = path
-                query_serve_window[lo : lo + take] = w
+                drains.append((lo, lo + take, w))
                 remaining -= take
-                backlog_size -= take
-                from_queue[w] += take
                 if take == hi - lo:
                     backlog.popleft()
                 else:
                     backlog[0] = (lo + take, hi)
-            start = int(window_ends[w - 1]) if w else 0
-            end = int(window_ends[w])
+            drained = cap - remaining
+            backlog_size -= drained
+            from_queue.append(drained)
             take = min(end - start, remaining)
-            if take:
-                query_state[start : start + take] = QUERY_ADMITTED
-                query_path[start : start + take] = path
-                query_serve_window[start : start + take] = w
-            admitted[w] = cap - (remaining - take)
+            admitted.append(drained + take)
             overflow_lo = start + take
-            space = int(queue_limits[w]) - backlog_size
-            defer = min(end - overflow_lo, max(space, 0))
+            defer = min(end - overflow_lo, max(limit - backlog_size, 0))
             if defer:
-                query_state[overflow_lo : overflow_lo + defer] = QUERY_DEFERRED
                 backlog.append((overflow_lo, overflow_lo + defer))
                 backlog_size += defer
-            deferred[w] = defer
-            shed[w] = end - overflow_lo - defer
-            if shed[w]:
-                shed_reason[w] = "no-capacity" if cap == 0 else "queue-full"
-            max_queue_depth = max(max_queue_depth, backlog_size)
-            # Only eventful windows are logged (shed, deferred or switched):
-            # quiet windows dominate healthy streams and would swamp the log.
-            if log is not None and (shed[w] or deferred[w] or switches[w]):
-                log.emit(
-                    "admission_window",
-                    window=w,
-                    path_name=self.table.paths[path].name,
-                    arrivals=int(arrivals[w]),
-                    admitted=int(admitted[w]),
-                    deferred=int(deferred[w]),
-                    shed=int(shed[w]),
-                    shed_reason=str(shed_reason[w]),
-                    queue_depth=backlog_size,
-                    switch=bool(switches[w]),
-                )
-        # Queries still queued when the stream ends were never served.
-        for lo, hi in backlog:
-            query_state[lo:hi] = QUERY_SHED
-        if log is not None:
-            log.emit(
-                "stream_summary",
-                trace=trace.name,
-                num_windows=int(num_windows),
-                offered=int(stream.num_queries),
-                admitted=int(admitted.sum()),
-                deferred=int(deferred.sum()),
-                shed=int(shed.sum()) + backlog_size,
-                max_queue_depth=int(max_queue_depth),
-            )
+            deferred.append(defer)
+            shed.append(end - overflow_lo - defer)
+            start = end
+        admitted, from_queue, deferred, shed = (
+            np.asarray(counts, dtype=np.int64) for counts in (admitted, from_queue, deferred, shed)
+        )
+        queue_depth = np.cumsum(deferred - from_queue)
 
-        return FrontendSchedule(
+        plan = FrontendSchedule(
             trace_name=trace.name,
             window_seconds=window,
             estimates=estimates,
@@ -544,12 +565,68 @@ class StreamingFrontend:
             window_from_queue=from_queue,
             window_deferred=deferred,
             window_shed=shed,
-            window_shed_reason=shed_reason,
-            query_state=query_state,
-            query_path=query_path,
-            query_serve_window=query_serve_window,
-            max_queue_depth=max_queue_depth,
+            window_shed_reason=np.where(
+                shed == 0, "none", np.where(caps == 0, "no-capacity", "queue-full")
+            ),
+            drains=np.asarray(drains, dtype=np.int64).reshape(-1, 3),
+            dropped=backlog_size,  # still queued at stream end: never served
+            max_queue_depth=int(queue_depth.max()),
         )
+        log = _event_log()
+        if log is not None:
+            self._emit_schedule(log, plan, queue_depth)
+        return plan
+
+    def _emit_schedule(self, log, plan: FrontendSchedule, queue_depth: np.ndarray) -> None:
+        """Log a finished schedule: eventful windows, then the stream summary.
+
+        Only eventful windows are logged (shed, deferred or switched):
+        quiet windows dominate healthy streams and would swamp the log.
+        Logging after the loop keeps the state machine free of log checks.
+        """
+        eventful = plan.window_shed | plan.window_deferred | plan.window_switches
+        for w in np.flatnonzero(eventful).tolist():
+            log.emit(
+                "admission_window",
+                window=w,
+                path_name=self.table.paths[plan.window_paths[w]].name,
+                arrivals=plan.window_arrivals[w],
+                admitted=plan.window_admitted[w],
+                deferred=plan.window_deferred[w],
+                shed=plan.window_shed[w],
+                shed_reason=str(plan.window_shed_reason[w]),
+                queue_depth=queue_depth[w],
+                switch=bool(plan.window_switches[w]),
+            )
+        log.emit(
+            "stream_summary",
+            trace=plan.trace_name,
+            num_windows=plan.num_windows,
+            offered=plan.offered_queries,
+            admitted=plan.served_queries,
+            deferred=int(plan.window_deferred.sum()),
+            shed=plan.shed_queries,
+            max_queue_depth=plan.max_queue_depth,
+        )
+
+    @staticmethod
+    def _window_counts(stream: QueryStream, window: float, num_windows: int) -> np.ndarray:
+        """Arrivals per window, equal to ``bincount(floor_divide(arrivals, window))``.
+
+        One binary search of the edges ``fl(k * window)`` over the sorted
+        arrivals replaces the per-query division.  Rounding can only
+        misplace an arrival exactly equal to an edge, so each edge counts
+        as the start of window ``k`` precisely when ``floor_divide`` puts
+        the edge itself there; otherwise the search starts one ulp above.
+        """
+        times = stream.arrival_seconds
+        if times.size and np.floor_divide(times[-1], window) >= num_windows:
+            raise ValueError("stream extends past the trace duration")
+        k = np.arange(1, num_windows)
+        edges = k * window
+        edges = np.where(np.floor_divide(edges, window) >= k, edges, np.nextafter(edges, np.inf))
+        bounds = np.searchsorted(times, edges, side="left")
+        return np.diff(bounds, prepend=0, append=times.size)
 
     def serve(self, trace: LoadTrace, stream: QueryStream | None = None) -> FrontendResult:
         """Schedule a stream and score the schedule on the analytic engine.
@@ -620,11 +697,12 @@ class StreamingFrontend:
             pooled_values.append(observed)
             pooled_weights.append(np.full(observed.size, prompt / observed.size))
         # Deferred queries: their queueing delay is their latency story.
-        deferred_mask = plan.query_state == QUERY_DEFERRED
-        if np.any(deferred_mask):
-            waits = (
-                plan.query_serve_window[deferred_mask] * plan.window_seconds
-                - stream.arrival_seconds[deferred_mask]
+        if plan.drains.size:
+            waits = np.concatenate(
+                [
+                    w * plan.window_seconds - stream.arrival_seconds[lo:hi]
+                    for lo, hi, w in plan.drains
+                ]
             )
             pooled_values.append(np.maximum(waits, 0.0))
             pooled_weights.append(np.ones(waits.size))

@@ -1,6 +1,6 @@
 """Tests for the per-query streaming frontend (``repro.serving.frontend``).
 
-Three pillars, mirroring the frontend's contract:
+Four pillars, mirroring the frontend's contract:
 
 * **equivalence** — with batching disabled and the decision window equal
   to the trace's dwell step, the frontend's per-window path choices
@@ -11,6 +11,10 @@ Three pillars, mirroring the frontend's contract:
   non-decreasing in offered load, the admitted rate never exceeds the
   chosen path's feasible frontier, decisions are strictly causal, and
   everything is deterministic under a fixed seed;
+* **per-query reference** — the count-based schedule's window counts equal
+  a per-query ``floor_divide`` on edge-placed arrivals, and its lazy
+  per-query views and ``serve`` results equal the slice-fill reference
+  kept here (hypothesis, both arrival processes);
 * **throughput** — routing whole query streams must be at least 5x
   faster per query than the step router is per decision (the blocking CI
   smoke; the full-size number lands in ``BENCH_router.json``).
@@ -32,7 +36,8 @@ from repro.serving.frontend import (
     QueryStream,
     StreamingFrontend,
 )
-from repro.serving.router import MultiPathRouter, route_oracle, route_static
+from repro.serving.metrics import weighted_percentile
+from repro.serving.router import MultiPathRouter, RoutingResult, route_oracle, route_static
 from repro.serving.trace import LoadTrace, diurnal_trace, spike_trace
 from tests.conftest import GRID, flat_trace, make_table
 
@@ -96,6 +101,51 @@ class TestQueryStream:
             QueryStream("x", 0.0, np.array([]))
         with pytest.raises(ValueError, match="arrival process"):
             QueryStream.from_trace(flat_trace(100.0), process="burst")
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [[1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]],
+        ids=["nan-last", "nan-first", "inf"],
+    )
+    def test_non_finite_arrivals_are_rejected(self, arrivals):
+        with pytest.raises(ValueError, match="non-finite"):
+            QueryStream("x", 10.0, np.array(arrivals))
+
+    @pytest.mark.parametrize("step_seconds", [0.1, 1 / 3, 0.7, 7.0, 60.0])
+    def test_poisson_stream_equals_a_global_sort_of_the_draws(self, step_seconds):
+        trace = spike_trace(
+            num_steps=40, step_seconds=step_seconds, base_qps=300.0, spike_qps=3000.0, seed=5
+        )
+        stream = QueryStream.from_trace(trace, seed=11)
+        rng = np.random.default_rng(11)
+        counts = rng.poisson(trace.queries_per_step())
+        starts = np.arange(trace.num_steps) * trace.step_seconds
+        draws = np.repeat(starts, counts) + trace.step_seconds * rng.random(counts.sum())
+        np.testing.assert_array_equal(stream.arrival_seconds, np.sort(draws))
+
+    def test_draws_rounded_past_the_next_step_still_sort_globally(self, monkeypatch):
+        # With 0.1 s steps, fl(12 * 0.1) + 0.1 * u rounds above fl(13 * 0.1)
+        # for u just below 1, so step 12's last draw lands after step 13's
+        # first: per-step sorting alone would leave the stream unsorted.
+        top = 1.0 - 2.0**-53
+        trace = flat_trace(20.0, num_steps=20, step_seconds=0.1)
+        starts = np.arange(trace.num_steps) * trace.step_seconds
+        assert starts[12] + trace.step_seconds * top > starts[13]
+
+        class PinnedDraws:
+            def __init__(self, seed):
+                pass
+
+            def poisson(self, expected):
+                return np.full(len(expected), 2)
+
+            def random(self, size):
+                return np.tile([top, 0.0], size // 2)
+
+        monkeypatch.setattr(np.random, "default_rng", PinnedDraws)
+        stream = QueryStream.from_trace(trace, seed=0)
+        draws = np.repeat(starts, 2) + trace.step_seconds * np.tile([top, 0.0], trace.num_steps)
+        np.testing.assert_array_equal(stream.arrival_seconds, np.sort(draws))
 
     def test_arrival_array_is_frozen(self):
         stream = QueryStream.from_trace(flat_trace(100.0, num_steps=3))
@@ -279,6 +329,200 @@ class TestAdmissionAccounting:
         stream = QueryStream("x", 100.0, np.array([5.0, 95.0]))
         with pytest.raises(ValueError, match="past the trace"):
             frontend.schedule(flat_trace(100.0, num_steps=3), stream)
+
+
+class TestWindowBoundaries:
+    """Window counts from the edge search equal the per-query ``floor_divide``."""
+
+    @staticmethod
+    def edge_placed_arrivals(window: float, num_windows: int) -> np.ndarray:
+        """Arrivals exactly on every edge ``k * window`` and one ulp either side."""
+        edges = np.arange(num_windows + 1) * window
+        points = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        return np.repeat(np.sort(points[points >= 0]), 3)
+
+    @pytest.mark.parametrize("step_seconds", [0.1, 1 / 3, 0.7, 7.0])
+    @pytest.mark.parametrize("multiple", [1.0, 3.0, 0.5])
+    def test_counts_match_floor_divide_on_edges(self, step_seconds, multiple):
+        window = step_seconds * multiple
+        trace = flat_trace(1000.0, num_steps=12, step_seconds=step_seconds)
+        frontend = paced_frontend(make_table(), window_seconds=window)
+        num_windows = frontend.decide_windows(trace)[0].size
+        arrivals = self.edge_placed_arrivals(window, num_windows)
+        window_of = np.floor_divide(arrivals, window).astype(np.int64)
+        inside = arrivals[window_of < num_windows]
+        stream = QueryStream(trace.name, trace.duration_seconds, inside)
+        plan = frontend.schedule(trace, stream)
+        expected = np.bincount(
+            np.floor_divide(inside, window).astype(np.int64), minlength=num_windows
+        )
+        np.testing.assert_array_equal(plan.window_arrivals, expected)
+        assert plan.offered_queries == inside.size
+
+        past = QueryStream(trace.name, trace.duration_seconds, arrivals)
+        with pytest.raises(ValueError, match="past the trace"):
+            frontend.schedule(trace, past)
+
+
+def reference_schedule(frontend: StreamingFrontend, trace: LoadTrace, stream: QueryStream):
+    """Per-query admission by ``floor_divide`` and contiguous slice fills.
+
+    The frontend's per-query bookkeeping before it became count-based,
+    kept as the reference its lazy per-query views must reproduce.
+    Returns the per-window outcome arrays and the per-query state, path
+    and serve-window arrays.
+    """
+    window = frontend._window_width(trace)
+    _, paths, _ = frontend.decide_windows(trace)
+    paths = np.asarray(paths, dtype=np.intp)
+    num_windows = paths.size
+    window_of = np.floor_divide(stream.arrival_seconds, window).astype(np.int64)
+    window_ends = np.cumsum(np.bincount(window_of, minlength=num_windows))
+    table = frontend.table
+    max_feasible = np.asarray([table.max_feasible_qps(i) for i in range(len(table.paths))])
+    caps = np.floor(max_feasible[paths] * window).astype(np.int64)
+    queue_limits = np.floor(frontend.defer_windows * caps).astype(np.int64)
+
+    state = np.zeros(stream.num_queries, dtype=np.int8)
+    query_path = np.full(stream.num_queries, -1, dtype=np.int32)
+    serve_window = np.full(stream.num_queries, -1, dtype=np.int64)
+    admitted = np.zeros(num_windows, dtype=np.int64)
+    from_queue = np.zeros(num_windows, dtype=np.int64)
+    backlog: list[list[int]] = []
+    backlog_size = 0
+    for w in range(num_windows):
+        remaining = int(caps[w])
+        while backlog and remaining > 0:
+            lo, hi = backlog[0]
+            take = min(hi - lo, remaining)
+            query_path[lo : lo + take] = paths[w]
+            serve_window[lo : lo + take] = w
+            remaining -= take
+            backlog_size -= take
+            from_queue[w] += take
+            if take == hi - lo:
+                backlog.pop(0)
+            else:
+                backlog[0][0] = lo + take
+        start = int(window_ends[w - 1]) if w else 0
+        end = int(window_ends[w])
+        take = min(end - start, remaining)
+        state[start : start + take] = QUERY_ADMITTED
+        query_path[start : start + take] = paths[w]
+        serve_window[start : start + take] = w
+        admitted[w] = caps[w] - (remaining - take)
+        overflow_lo = start + take
+        defer = min(end - overflow_lo, max(int(queue_limits[w]) - backlog_size, 0))
+        if defer:
+            state[overflow_lo : overflow_lo + defer] = QUERY_DEFERRED
+            backlog.append([overflow_lo, overflow_lo + defer])
+            backlog_size += defer
+    for lo, hi in backlog:
+        state[lo:hi] = QUERY_SHED
+    return admitted, from_queue, state, query_path, serve_window
+
+
+def reference_routing(frontend, trace, stream, plan, state, serve_window) -> RoutingResult:
+    """Score ``plan`` as ``serve`` did with per-query arrays: mask-pooled waits."""
+    table = frontend.table
+    total = stream.num_queries
+    served_windows = np.flatnonzero(plan.window_admitted > 0)
+    admitted_qps = plan.window_admitted[served_windows] / plan.window_seconds
+    for index in np.unique(plan.window_paths[served_windows]):
+        mask = plan.window_paths[served_windows] == index
+        table.prefill_dwell(int(index), admitted_qps[mask])
+    violations = quality_mass = effective_mass = 0.0
+    occupancy: dict[str, float] = {}
+    values, weights = [], []
+    for w, qps in zip(served_windows, admitted_qps):
+        index = int(plan.window_paths[w])
+        path = table.paths[index]
+        weight = int(plan.window_admitted[w])
+        prompt = weight - int(plan.window_from_queue[w])
+        quality_mass += weight * path.quality
+        occupancy[path.name] = occupancy.get(path.name, 0.0) + weight
+        latencies = table.dwell_latencies(index, float(qps))
+        if latencies is None:
+            violations += weight
+            values.append(np.asarray([np.inf]))
+            weights.append(np.asarray([float(weight)]))
+            continue
+        penalty = frontend.router.switch_penalty_seconds if plan.window_switches[w] else 0.0
+        observed = latencies + penalty if penalty else latencies
+        violating = float(np.mean(observed > table.sla_seconds))
+        violations += prompt * violating + (weight - prompt)
+        effective_mass += prompt * path.quality * (1.0 - violating)
+        values.append(observed)
+        weights.append(np.full(observed.size, prompt / observed.size))
+    deferred = state == QUERY_DEFERRED
+    if np.any(deferred):
+        waits = serve_window[deferred] * plan.window_seconds - stream.arrival_seconds[deferred]
+        values.append(np.maximum(waits, 0.0))
+        weights.append(np.ones(waits.size))
+    shed = int(np.sum(state == QUERY_SHED))
+    if shed:
+        violations += shed
+        values.append(np.asarray([np.inf]))
+        weights.append(np.asarray([float(shed)]))
+    return RoutingResult(
+        policy="frontend",
+        trace_name=trace.name,
+        quality=quality_mass / total,
+        effective_quality=effective_mass / total,
+        p99_seconds=weighted_percentile(np.concatenate(values), np.concatenate(weights), 99.0),
+        violation_rate=violations / total,
+        num_switches=plan.num_switches,
+        total_queries=float(total),
+        path_steps=tuple(int(i) for i in plan.window_paths),
+        switch_steps=tuple(bool(s) for s in plan.window_switches),
+        occupancy={name: mass / total for name, mass in occupancy.items()},
+    )
+
+
+class TestPerQueryReference:
+    """The lazy per-query views and ``serve`` match the slice-fill reference."""
+
+    TABLE = make_table()
+
+    @given(
+        qps=st.lists(st.floats(min_value=100.0, max_value=9000.0), min_size=1, max_size=8),
+        step_seconds=st.sampled_from([0.1, 1 / 3, 0.7, 1.0, 7.0]),
+        multiple=st.sampled_from([None, 0.5, 1.0, 3.0]),
+        defer_windows=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        process=st.sampled_from(ARRIVAL_PROCESSES),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_views_and_serve_match_the_reference(
+        self, qps, step_seconds, multiple, defer_windows, process, seed
+    ):
+        trace = LoadTrace("random", step_seconds, np.asarray(qps))
+        frontend = StreamingFrontend(
+            MultiPathRouter(self.TABLE, window=2),
+            window_seconds=None if multiple is None else step_seconds * multiple,
+            defer_windows=defer_windows,
+            arrival_process=process,
+            arrival_seed=seed,
+        )
+        stream = QueryStream.from_trace(trace, seed=seed, process=process)
+        plan = frontend.schedule(trace, stream)
+        admitted, from_queue, state, path, serve_window = reference_schedule(
+            frontend, trace, stream
+        )
+        np.testing.assert_array_equal(plan.window_admitted, admitted)
+        np.testing.assert_array_equal(plan.window_from_queue, from_queue)
+        for view, reference in (
+            (plan.query_state, state),
+            (plan.query_path, path),
+            (plan.query_serve_window, serve_window),
+        ):
+            assert view.dtype == reference.dtype
+            np.testing.assert_array_equal(view, reference)
+        assert plan.shed_queries == int(np.sum(state == QUERY_SHED))
+        assert plan.deferred_served_queries == int(np.sum(state == QUERY_DEFERRED))
+        if stream.num_queries:
+            routing = frontend.serve(trace, stream).routing
+            assert routing == reference_routing(frontend, trace, stream, plan, state, serve_window)
 
 
 class TestShedReasonSchema:
